@@ -29,6 +29,7 @@ from wienerseq.graphs import (
 )
 from wienerseq.indices import evaluate, evaluate_exact, parse_index_spec
 from wienerseq.sequences import Dominance, compare, distance_sequence
+from wienerseq.specs import parse_spec
 from wienerseq.verifier import SUITES, csv_summary
 
 EXIT_OK = 0
@@ -58,7 +59,6 @@ class RunConfig:
     shards: int = 1
     max_n: int | None = None
     out: str | None = None
-    seed: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, *, inputs: bool = False) -> None:
+    def add_io(p: argparse.ArgumentParser, *formats: str, inputs: bool = False) -> None:
         if inputs:
             p.add_argument(
                 "--input",
@@ -106,10 +106,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 "oddcat:6 star:5 path:5 cycle:5 complete:5",
             )
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        p.add_argument("--format", dest="fmt", help="output format")
+        if formats:
+            p.add_argument("--format", dest="fmt", choices=formats,
+                           help="output format (default %s)" % formats[0])
 
     p = sub.add_parser("compute", help="distance sequence and index values of one graph")
-    add_io(p, inputs=True)
+    add_io(p, "text", "json", inputs=True)
     p.add_argument(
         "--index",
         action="append",
@@ -119,10 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("compare", help="dominance comparison of two graphs")
-    add_io(p, inputs=True)
+    add_io(p, "text", "json", inputs=True)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
-    add_io(p, inputs=True)
+    add_io(p, "graph6", "edgelist", inputs=True)
 
     p = sub.add_parser("enumerate", help="stream a graph class as graph6 records")
     p.add_argument("--class", dest="klass", required=True, metavar="SPEC",
@@ -137,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--max-n", type=int, dest="max_n")
-    add_io(p)
+    add_io(p, "json", "csv")
 
     p = sub.add_parser("explore", help="search maximal planar graphs for a counterexample")
     p.add_argument("--class", dest="klass", required=True, metavar="SPEC",
@@ -148,20 +150,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None)
     p.add_argument("--max-n", type=int, dest="max_n")
     add_io(p)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in the resolved configuration")
     return parser
 
 
-def _load_graph(source: str, fmt: str | None) -> Graph:
+def _load_graph(source: str) -> Graph:
     if source == "-":
-        text = sys.stdin.read()
-        return _parse_graph_text(text, fmt)
+        return _parse_graph_text(sys.stdin.read())
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            return _parse_graph_text(fh.read(), fmt)
+            return _parse_graph_text(fh.read())
     # not a file: treat as an inline graph6 record
     try:
         return parse_graph6(source)
@@ -169,23 +166,15 @@ def _load_graph(source: str, fmt: str | None) -> Graph:
         raise InputError("cannot read %r: not a file and not graph6 (%s)" % (source, exc)) from exc
 
 
-def _parse_graph_text(text: str, fmt: str | None) -> Graph:
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    if fmt is not None and fmt not in ("auto",):
-        raise UsageError("unknown input format %r" % fmt)
+def _parse_graph_text(text: str) -> Graph:
     stripped = text.strip().splitlines()
     if stripped and stripped[0].strip().isdigit():
         return parse_edge_list(text)
     return parse_graph6(text)
 
 
-def _gather_graphs(args: argparse.Namespace, cfg: RunConfig) -> list[Graph]:
-    graphs = []
-    for src in args.input:
-        graphs.append(_load_graph(src, None))
+def _gather_graphs(args: argparse.Namespace) -> list[Graph]:
+    graphs = [_load_graph(src) for src in args.input]
     for spec in args.family:
         try:
             graphs.append(parse_family_spec(spec))
@@ -209,7 +198,7 @@ def _header(cfg: RunConfig) -> dict:
 
 
 def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
-    graphs = _gather_graphs(args, cfg)
+    graphs = _gather_graphs(args)
     if len(graphs) != 1:
         raise UsageError("compute expects exactly one --input or --family")
     g = graphs[0]
@@ -222,10 +211,13 @@ def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
     seq = distance_sequence(g)
     rows = []
     for defn in defs:
-        entry: dict = {"name": defn.name, "value": evaluate(defn, seq)}
+        try:
+            entry: dict = {"name": defn.name, "value": evaluate(defn, seq)}
+            exact = evaluate_exact(defn, seq)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         if defn.lam is not None:
             entry["lambda"] = defn.lam
-        exact = evaluate_exact(defn, seq)
         if exact is not None:
             entry["exact_value"] = str(exact)
         rows.append(entry)
@@ -255,7 +247,7 @@ def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
-    graphs = _gather_graphs(args, cfg)
+    graphs = _gather_graphs(args)
     if len(graphs) != 2:
         raise UsageError("compare expects exactly two graphs (--input/--family)")
     a, b = (distance_sequence(g) for g in graphs)
@@ -287,7 +279,7 @@ def _cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
-    graphs = _gather_graphs(args, cfg)
+    graphs = _gather_graphs(args)
     if len(graphs) != 1 or args.input:
         raise UsageError("construct expects exactly one --family")
     g = graphs[0]
@@ -299,33 +291,12 @@ def _cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_suite_spec(spec: str) -> tuple[str, dict]:
-    name, sep, arg_text = spec.partition(":")
-    name = name.strip()
-    if name not in SUITES or name == "maximal_planar":
-        raise UsageError("unknown suite %r" % name)
-    if not sep:
-        raise UsageError("suite %r needs arguments, e.g. %s:6" % (name, name))
-    parts = [p.strip() for p in arg_text.split(",")]
+def _parse_suite_spec(spec: str, table: dict) -> tuple[str, dict]:
     try:
-        if name == "order_size" or name == "deletion":
-            (n,) = parts
-            return name, {"n": int(n)}
-        if name == "connectivity":
-            n, kappa = parts
-            return name, {"n": int(n), "kappa": int(kappa)}
-        if name == "odd_trees":
-            (n,) = parts
-            return name, {"n": int(n)}
-        if name == "k_degenerate":
-            if len(parts) == 2:
-                n, k = parts
-                return name, {"n": int(n), "k": int(k)}
-            n, k, klass = parts
-            return name, {"n": int(n), "k": int(k), "klass": klass}
+        name, values = parse_spec(spec, table, "suite")
     except ValueError as exc:
-        raise UsageError("bad suite arguments %r" % arg_text) from exc
-    raise UsageError("bad suite spec %r" % spec)
+        raise UsageError(str(exc)) from exc
+    return name, dict(zip(table[name].args, values))
 
 
 def _check_max_n(n: int, max_n: int | None) -> None:
@@ -364,15 +335,16 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _run_suite(name: str, kwargs: dict, cfg: RunConfig):
-    runner = SUITES[name]
     try:
-        return runner(shards=cfg.shards, jobs=cfg.jobs, **kwargs)
+        return SUITES[name].verify(shards=cfg.shards, jobs=cfg.jobs, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    name, kwargs = _parse_suite_spec(args.suite)
+    # maximal_planar runs through explore, not verify
+    verified = {k: v for k, v in SUITES.items() if k != "maximal_planar"}
+    name, kwargs = _parse_suite_spec(args.suite, verified)
     _check_max_n(kwargs["n"], cfg.max_n)
     report = _run_suite(name, kwargs, cfg)
     doc = report.to_dict() | _header(cfg)
@@ -396,18 +368,12 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
-    name, sep, n_text = args.klass.partition(":")
-    if name.strip() != "maximal_planar" or not sep:
-        raise UsageError("explore expects --class maximal_planar:n")
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise UsageError("bad order %r" % n_text) from None
+    explored = {"maximal_planar": SUITES["maximal_planar"]}
+    name, kwargs = _parse_suite_spec(args.klass, explored)
+    n = kwargs["n"]
     _check_max_n(n, cfg.max_n)
-    mode = "apollonian" if args.apollonian_only else "flip"
-    report = _run_suite(
-        "maximal_planar", {"n": n, "mode": mode}, cfg
-    )
+    kwargs["mode"] = "apollonian" if args.apollonian_only else "flip"
+    report = _run_suite(name, kwargs, cfg)
     doc = report.to_dict() | _header(cfg)
     if cfg.out:
         _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out)
@@ -449,7 +415,6 @@ def main(argv: list[str] | None = None) -> int:
             shards=shards,
             max_n=getattr(args, "max_n", None),
             out=getattr(args, "out", None),
-            seed=getattr(args, "seed", None),
         )
         handler = {
             "compute": _cmd_compute,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from wienerseq.graphs import (
     Graph,
@@ -33,6 +33,7 @@ from wienerseq.graphs import (
     relabel,
     write_graph6,
 )
+from wienerseq.specs import Entry, parse_spec
 
 CONNECTED_MAX_N = 8
 K_TREE_MAX_N = 10
@@ -94,7 +95,8 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
                 cols.pop()
 
     dfs([], 0, [])
-    assert best_order is not None
+    if best_order is None:
+        raise RuntimeError("canonical search placed no ordering of %d vertices" % n)
     return tuple(best_order)
 
 
@@ -161,13 +163,11 @@ def enumerate_connected(
             yield g
 
 
-def enumerate_k_connected(
-    n: int, kappa: int, dedup: str = "unlabeled"
-) -> Iterator[Graph]:
+def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
     """Connected graphs of order n with vertex connectivity at least kappa."""
     if kappa < 1:
         raise ValueError("kappa must be positive")
-    for g in enumerate_connected(n, dedup=dedup):
+    for g in enumerate_connected(n):
         if is_k_connected(g, kappa):
             yield g
 
@@ -205,10 +205,8 @@ def _k_cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
                 yield combo
 
 
-def enumerate_k_trees(n: int, k: int, dedup: str = "unlabeled") -> Iterator[Graph]:
+def enumerate_k_trees(n: int, k: int) -> Iterator[Graph]:
     """All k-trees of order n up to isomorphism, for k <= 3 and n <= 10."""
-    if dedup != "unlabeled":
-        raise ValueError("k-tree enumeration is unlabeled only")
     if not (1 <= k <= K_TREE_MAX_K):
         raise ValueError("supported k is 1..%d, got %r" % (K_TREE_MAX_K, k))
     if not (k + 1 <= n <= K_TREE_MAX_N):
@@ -219,12 +217,8 @@ def enumerate_k_trees(n: int, k: int, dedup: str = "unlabeled") -> Iterator[Grap
     yield from _k_trees(n, k)
 
 
-def enumerate_maximal_k_degenerate(
-    n: int, k: int, dedup: str = "unlabeled"
-) -> Iterator[Graph]:
+def enumerate_maximal_k_degenerate(n: int, k: int) -> Iterator[Graph]:
     """Connected maximal k-degenerate graphs of order n, by filtering."""
-    if dedup != "unlabeled":
-        raise ValueError("maximal k-degenerate enumeration is unlabeled only")
     if not (2 <= n <= MAX_K_DEGENERATE_MAX_N):
         raise ValueError(
             "supported orders are 2..%d, got %r" % (MAX_K_DEGENERATE_MAX_N, n)
@@ -313,7 +307,8 @@ def _flip_neighbors(g: Graph, faces: Faces) -> Iterator[tuple[Graph, Faces]]:
         for e in ((a, b), (a, c), (b, c)):
             face_at.setdefault(e, []).append(idx)
     for (u, v), incident in face_at.items():
-        assert len(incident) == 2, "edge not on exactly two faces"
+        if len(incident) != 2:
+            raise RuntimeError("edge %r is on %d faces, not 2" % ((u, v), len(incident)))
         f1, f2 = (faces[i] for i in incident)
         w = next(x for x in f1 if x not in (u, v))
         x = next(y for y in f2 if y not in (u, v))
@@ -371,60 +366,33 @@ def enumerate_maximal_planar(n: int, mode: str = "flip") -> Iterator[Graph]:
     graphs = [canonical_graph(g) for g, _ in _triangulation_states(n)]
     expected = 3 * n - 6
     for g in sorted(graphs, key=write_graph6):
-        assert g.m == expected
+        if g.m != expected:
+            raise RuntimeError("triangulation with %d edges, not %d" % (g.m, expected))
         yield g
 
 
 # ---------------------------------------------------------------------------
 # Class specs, shared by the CLI and the verifier.
 
-CLASS_ARITY = {
-    "connected": (1, 2),
-    "k_connected": (2, 2),
-    "k_tree": (2, 2),
-    "maximal_k_degenerate": (2, 2),
-    "apollonian": (1, 1),
-    "odd_tree": (1, 1),
-    "maximal_planar": (1, 1),
+CLASSES = {
+    "connected": Entry(enumerate_connected, {"n": int, "m": int}, required=1),
+    "k_connected": Entry(enumerate_k_connected, {"n": int, "kappa": int}),
+    "k_tree": Entry(enumerate_k_trees, {"n": int, "k": int}),
+    "maximal_k_degenerate": Entry(enumerate_maximal_k_degenerate, {"n": int, "k": int}),
+    "apollonian": Entry(enumerate_apollonian, {"n": int}),
+    "odd_tree": Entry(enumerate_odd_trees, {"n": int}),
+    "maximal_planar": Entry(enumerate_maximal_planar, {"n": int}),
 }
 
 
 def parse_class_spec(spec: str) -> tuple[str, tuple[int, ...]]:
-    name, sep, arg_text = spec.partition(":")
-    name = name.strip()
-    if name not in CLASS_ARITY:
-        raise ValueError("unknown class %r" % name)
-    if not sep:
-        raise ValueError("class %r needs arguments, e.g. %s:6" % (name, name))
-    try:
-        args = tuple(int(a) for a in arg_text.split(","))
-    except ValueError:
-        raise ValueError("bad class arguments %r" % arg_text) from None
-    lo, hi = CLASS_ARITY[name]
-    if not (lo <= len(args) <= hi):
-        raise ValueError(
-            "class %r takes %d..%d argument(s), got %d" % (name, lo, hi, len(args))
-        )
-    return name, args
+    return parse_spec(spec, CLASSES, "class")
 
 
 def enumerate_class(name: str, args: tuple[int, ...]) -> Iterator[Graph]:
-    if name == "connected":
-        yield from enumerate_connected(*args)
-    elif name == "k_connected":
-        yield from enumerate_k_connected(*args)
-    elif name == "k_tree":
-        yield from enumerate_k_trees(*args)
-    elif name == "maximal_k_degenerate":
-        yield from enumerate_maximal_k_degenerate(*args)
-    elif name == "apollonian":
-        yield from enumerate_apollonian(*args)
-    elif name == "odd_tree":
-        yield from enumerate_odd_trees(*args)
-    elif name == "maximal_planar":
-        yield from enumerate_maximal_planar(*args)
-    else:
+    if name not in CLASSES:
         raise ValueError("unknown class %r" % name)
+    yield from CLASSES[name].target(*args)
 
 
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:

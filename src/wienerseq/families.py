@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from wienerseq.graphs import Graph, graph_power
 from wienerseq.sequences import DistanceSequence
+from wienerseq.specs import Entry, parse_spec
 
 
 def complete(n: int) -> Graph:
@@ -52,7 +53,8 @@ def path_complete(n: int, m: int) -> Graph:
     edges.extend((i, i + 1) for i in range(q, n - 1))
     edges.extend((c, q) for c in range(t))
     g = Graph(n, edges)
-    assert g.m == m, (n, m, q, t, g.m)
+    if g.m != m:
+        raise RuntimeError("path-complete graph with %d edges, not %d" % (g.m, m))
     return g
 
 
@@ -125,43 +127,19 @@ def odd_caterpillar_increment(n: int) -> DistanceSequence:
     return DistanceSequence(runs)
 
 
-FAMILY_ARITY = {
-    "pk": 2,
-    "cyclepow": 2,
-    "pathpow": 2,
-    "oddcat": 1,
-    "star": 1,
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
+FAMILIES = {
+    "pk": Entry(path_complete, {"n": int, "m": int}),
+    "cyclepow": Entry(cycle_power, {"n": int, "h": int}),
+    "pathpow": Entry(path_power, {"n": int, "k": int}),
+    "oddcat": Entry(odd_caterpillar, {"n": int}),
+    "star": Entry(star, {"n": int}),
+    "path": Entry(path, {"n": int}),
+    "cycle": Entry(cycle, {"n": int}),
+    "complete": Entry(complete, {"n": int}),
 }
 
 
 def parse_family_spec(spec: str) -> Graph:
     """Build a graph from a family spec like "pk:6,8" or "cycle:8"."""
-    name, sep, arg_text = spec.partition(":")
-    name = name.strip()
-    if name not in FAMILY_ARITY:
-        raise ValueError("unknown family %r" % name)
-    if not sep:
-        raise ValueError("family %r needs arguments, e.g. %s:6" % (name, name))
-    try:
-        args = [int(a) for a in arg_text.split(",")]
-    except ValueError:
-        raise ValueError("bad family arguments %r" % arg_text) from None
-    if len(args) != FAMILY_ARITY[name]:
-        raise ValueError(
-            "family %r takes %d argument(s), got %d"
-            % (name, FAMILY_ARITY[name], len(args))
-        )
-    builders = {
-        "pk": path_complete,
-        "cyclepow": cycle_power,
-        "pathpow": path_power,
-        "oddcat": odd_caterpillar,
-        "star": star,
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-    }
-    return builders[name](*args)
+    name, args = parse_spec(spec, FAMILIES, "family")
+    return FAMILIES[name].target(*args)

@@ -20,6 +20,7 @@ from wienerseq.sequences import (
     Dominance,
     compare,
 )
+from wienerseq.specs import Entry, parse_spec
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -88,10 +89,14 @@ def hyper_wiener() -> IndexDefinition:
     )
 
 
+def _check_exponent(name: str, lam: float) -> None:
+    if lam == 0 or not math.isfinite(lam):
+        raise ValueError("%s requires a finite nonzero exponent, got %r" % (name, lam))
+
+
 def variable_wiener(lam: float) -> IndexDefinition:
     """Sum of d^lam; increasing for lam > 0, decreasing for lam < 0."""
-    if lam == 0:
-        raise ValueError("variable_wiener requires a nonzero exponent")
+    _check_exponent("variable_wiener", lam)
     exact = None
     if float(lam).is_integer():
         ilam = int(lam)
@@ -111,8 +116,7 @@ def variable_wiener(lam: float) -> IndexDefinition:
 
 def gen_hyper_wiener(lam: float) -> IndexDefinition:
     """Sum of (d^lam + d^(2 lam)) / 2."""
-    if lam == 0:
-        raise ValueError("gen_hyper_wiener requires a nonzero exponent")
+    _check_exponent("gen_hyper_wiener", lam)
     exact = None
     if float(lam).is_integer():
         ilam = int(lam)
@@ -160,38 +164,23 @@ def diameter_index() -> IndexDefinition:
     return IndexDefinition("diameter", MAX, NONDECREASING, exact_term=int)
 
 
-BUILTIN_FACTORIES: dict[str, Callable[..., IndexDefinition]] = {
-    "wiener": wiener,
-    "harary": harary,
-    "hyper_wiener": hyper_wiener,
-    "variable_wiener": variable_wiener,
-    "gen_hyper_wiener": gen_hyper_wiener,
-    "tsz": tsz,
-    "mult_wiener": mult_wiener,
-    "log_mult_wiener": log_mult_wiener,
-    "diameter": diameter_index,
+INDICES = {
+    "wiener": Entry(wiener),
+    "harary": Entry(harary),
+    "hyper_wiener": Entry(hyper_wiener),
+    "variable_wiener": Entry(variable_wiener, {"lambda": float}),
+    "gen_hyper_wiener": Entry(gen_hyper_wiener, {"lambda": float}),
+    "tsz": Entry(tsz),
+    "mult_wiener": Entry(mult_wiener),
+    "log_mult_wiener": Entry(log_mult_wiener),
+    "diameter": Entry(diameter_index),
 }
-
-PARAMETRIC = frozenset({"variable_wiener", "gen_hyper_wiener"})
 
 
 def parse_index_spec(spec: str) -> IndexDefinition:
     """Parse "name" or "name:lambda" into a definition."""
-    name, sep, lam_text = spec.partition(":")
-    name = name.strip()
-    if name not in BUILTIN_FACTORIES:
-        raise ValueError("unknown index %r" % name)
-    if name in PARAMETRIC:
-        if not sep:
-            raise ValueError("index %r requires a parameter, e.g. %s:2" % (name, name))
-        try:
-            lam = float(lam_text)
-        except ValueError:
-            raise ValueError("bad parameter %r for index %s" % (lam_text, name)) from None
-        return BUILTIN_FACTORIES[name](lam)
-    if sep:
-        raise ValueError("index %r takes no parameter" % name)
-    return BUILTIN_FACTORIES[name]()
+    name, args = parse_spec(spec, INDICES, "index")
+    return INDICES[name].target(*args)
 
 
 def evaluate(defn: IndexDefinition, seq: DistanceSequence) -> float:
@@ -199,7 +188,8 @@ def evaluate(defn: IndexDefinition, seq: DistanceSequence) -> float:
     if len(seq) == 0:
         raise ValueError("cannot evaluate an index over an empty sequence")
     if defn.kind == F_SUM:
-        assert defn.term is not None
+        if defn.term is None:
+            raise ValueError("index %r has no term function" % defn.name)
         return sum(count * defn.term(value) for value, count in seq.runs)
     if defn.kind == PRODUCT:
         if len(seq) > PRODUCT_EXACT_LIMIT:
@@ -256,7 +246,8 @@ def order_size_lower_bound(defn: IndexDefinition, n: int, m: int) -> float:
         raise ValueError(
             "need n-1 <= m <= n(n-1)/2, got n=%d m=%d" % (n, m)
         )
-    assert defn.term is not None
+    if defn.term is None:
+        raise ValueError("index %r has no term function" % defn.name)
     return m * defn.term(1) + (pairs - m) * defn.term(2)
 
 

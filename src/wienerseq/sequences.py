@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
 from wienerseq.graphs import (
+    DistanceMatrix,
     Graph,
     delete_vertex,
     distance_matrix,
@@ -207,30 +208,26 @@ def merge(a: DistanceSequence, b: DistanceSequence) -> DistanceSequence:
     return DistanceSequence(out)
 
 
+def _pairs_sequence(dm: DistanceMatrix) -> DistanceSequence:
+    return DistanceSequence.from_entries(
+        d for u, row in enumerate(dm.d) for d in row[u + 1:]
+    )
+
+
+def _row_sequence(dm: DistanceMatrix, v: int) -> DistanceSequence:
+    return DistanceSequence.from_entries(d for u, d in enumerate(dm.d[v]) if u != v)
+
+
 def distance_sequence(g: Graph) -> DistanceSequence:
     """Distance sequence of a connected graph; length n(n-1)/2."""
-    dm = distance_matrix(g)
-    counts: dict[int, int] = {}
-    for u in range(g.n):
-        row = dm.d[u]
-        for v in range(u + 1, g.n):
-            d = row[v]
-            counts[d] = counts.get(d, 0) + 1
-    return DistanceSequence(sorted(counts.items()))
+    return _pairs_sequence(distance_matrix(g))
 
 
 def vertex_distance_sequence(g: Graph, v: int) -> DistanceSequence:
     """Sorted distances from v to all other vertices; length n - 1."""
     if not (0 <= v < g.n):
         raise ValueError("vertex %r out of range" % (v,))
-    dm = distance_matrix(g)
-    counts: dict[int, int] = {}
-    for u in range(g.n):
-        if u == v:
-            continue
-        d = dm.d[v][u]
-        counts[d] = counts.get(d, 0) + 1
-    return DistanceSequence(sorted(counts.items()))
+    return _row_sequence(distance_matrix(g), v)
 
 
 class DeletionBoundResult(NamedTuple):
@@ -253,24 +250,12 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
         raise ValueError("need at least 2 vertices")
     if is_cut_vertex(g, v):
         raise ValueError("vertex %d is a cut vertex" % v)
-    whole = distance_sequence(g)
-    remainder = delete_vertex(g, v)
-    rem_seq = (
-        distance_sequence(remainder) if remainder.n > 1 else DistanceSequence(())
+    dm = distance_matrix(g)
+    rem_dm = distance_matrix(delete_vertex(g, v))
+    bound = merge(_pairs_sequence(rem_dm), _row_sequence(dm, v))
+    rel = compare(_pairs_sequence(dm), bound)
+    nbrs = [u - 1 if u > v else u for u in g.neighbors(v)]
+    predicted = all(
+        rem_dm.d[x][y] <= 2 for i, x in enumerate(nbrs) for y in nbrs[i + 1:]
     )
-    bound = merge(rem_seq, vertex_distance_sequence(g, v))
-    rel = compare(whole, bound)
-    holds = rel.dominated
-    equality = rel.tag == Dominance.EQUAL
-    predicted = True
-    if remainder.n > 1:
-        rem_dm = distance_matrix(remainder)
-        nbrs = [u - 1 if u > v else u for u in g.neighbors(v)]
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1:]:
-                if rem_dm.d[x][y] > 2:
-                    predicted = False
-                    break
-            if not predicted:
-                break
-    return DeletionBoundResult(holds, equality, predicted)
+    return DeletionBoundResult(rel.dominated, rel.tag == Dominance.EQUAL, predicted)

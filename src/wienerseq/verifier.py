@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from wienerseq.enumeration import (
     canonical_graph,
@@ -47,7 +48,6 @@ from wienerseq.graphs import (
     write_graph6,
 )
 from wienerseq.indices import (
-    IndexDefinition,
     diameter_index,
     evaluate_exact,
     harary,
@@ -60,6 +60,7 @@ from wienerseq.indices import (
 )
 from wienerseq.sequences import (
     DistanceSequence,
+    Dominance,
     compare,
     deletion_bound_check,
     distance_sequence,
@@ -67,18 +68,17 @@ from wienerseq.sequences import (
 )
 
 
-def _battery() -> tuple[IndexDefinition, ...]:
-    # Exact-arithmetic built-ins only, so inequalities are decided without
-    # floating point.
-    return (
-        wiener(),
-        harary(),
-        hyper_wiener(),
-        tsz(),
-        variable_wiener(2),
-        mult_wiener(),
-        diameter_index(),
-    )
+# Exact-arithmetic built-ins only, so inequalities are decided without
+# floating point.
+_BATTERY = (
+    wiener(),
+    harary(),
+    hyper_wiener(),
+    tsz(),
+    variable_wiener(2),
+    mult_wiener(),
+    diameter_index(),
+)
 
 
 @dataclass
@@ -171,18 +171,28 @@ def _violation(
     return out
 
 
-def _check_dominance_and_indices(
-    record: str, seq: DistanceSequence, extremal: DistanceSequence
+@lru_cache(maxsize=None)
+def _extremal(family: Callable[..., Graph], *args: int) -> DistanceSequence:
+    return distance_sequence(family(*args))
+
+
+def _check_extremal(
+    g: Graph, record: str, family: Callable[..., Graph], *args: int
 ) -> tuple[list[dict], bool]:
+    """Violations of g against the extremal graph family(*args), and
+    whether their distance sequences are equal."""
     violations: list[dict] = []
+    seq = distance_sequence(g)
+    extremal = _extremal(family, *args)
     rel = compare(seq, extremal)
     if not rel.dominated:
         coord = rel.greater_at
-        assert coord is not None
+        if coord is None:
+            raise RuntimeError("undominated sequence without a larger coordinate")
         violations.append(
             _violation(record, "dominance", coord, seq[coord], extremal[coord])
         )
-    for defn in _battery():
+    for defn in _BATTERY:
         if monotone_consistency(defn, seq, extremal):
             continue
         kind = "internal_inconsistency" if rel.dominated else "index_bound"
@@ -195,51 +205,12 @@ def _check_dominance_and_indices(
                 index=defn.display_name,
             )
         )
-    from wienerseq.sequences import Dominance
-
     return violations, rel.tag == Dominance.EQUAL
 
 
-@lru_cache(maxsize=None)
-def _pk_sequence(n: int, m: int) -> DistanceSequence:
-    return distance_sequence(path_complete(n, m))
-
-
-@lru_cache(maxsize=None)
-def _cycle_power_sequence(n: int, h: int) -> DistanceSequence:
-    return distance_sequence(cycle_power(n, h))
-
-
-@lru_cache(maxsize=None)
-def _path_power_sequence(n: int, k: int) -> DistanceSequence:
-    return distance_sequence(path_power(n, k))
-
-
-@lru_cache(maxsize=None)
-def _odd_caterpillar_sequence(n: int) -> DistanceSequence:
-    return distance_sequence(odd_caterpillar(n))
-
-
-def _check_order_size(record: str, params: dict) -> tuple[list[dict], bool]:
-    g = parse_graph6(record)
-    seq = distance_sequence(g)
-    return _check_dominance_and_indices(record, seq, _pk_sequence(g.n, g.m))
-
-
-def _check_connectivity(record: str, params: dict) -> tuple[list[dict], bool]:
-    g = parse_graph6(record)
-    seq = distance_sequence(g)
-    extremal = _cycle_power_sequence(params["n"], params["kappa"] // 2)
-    return _check_dominance_and_indices(record, seq, extremal)
-
-
-def _check_k_degenerate(record: str, params: dict) -> tuple[list[dict], bool]:
-    g = parse_graph6(record)
+def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
     n, k = params["n"], params["k"]
-    seq = distance_sequence(g)
-    violations, is_equal = _check_dominance_and_indices(
-        record, seq, _path_power_sequence(n, k)
-    )
+    violations: list[dict] = []
     if n >= k + 1 and not is_k_connected(g, k):
         violations.append(_violation(record, "k_connectivity", lhs=k))
     degree_k = [
@@ -264,19 +235,10 @@ def _check_k_degenerate(record: str, params: dict) -> tuple[list[dict], bool]:
                 )
     elif n >= k + 1:
         violations.append(_violation(record, "degree_k_vertex", lhs=k))
-    return violations, is_equal
+    return violations
 
 
-def _check_odd_trees(record: str, params: dict) -> tuple[list[dict], bool]:
-    g = parse_graph6(record)
-    seq = distance_sequence(g)
-    return _check_dominance_and_indices(
-        record, seq, _odd_caterpillar_sequence(params["n"])
-    )
-
-
-def _check_deletion(record: str, params: dict) -> tuple[list[dict], bool]:
-    g = parse_graph6(record)
+def _check_deletion(g: Graph, record: str, params: dict) -> list[dict]:
     violations: list[dict] = []
     for v in range(g.n):
         if g.n > 1 and is_cut_vertex(g, v):
@@ -296,37 +258,23 @@ def _check_deletion(record: str, params: dict) -> tuple[list[dict], bool]:
                     rhs=res.predicted_equality,
                 )
             )
-    return violations, False
-
-
-def _check_maximal_planar(record: str, params: dict) -> tuple[list[dict], bool]:
-    g = parse_graph6(record)
-    seq = distance_sequence(g)
-    return _check_dominance_and_indices(
-        record, seq, _path_power_sequence(params["n"], 3)
-    )
-
-
-_CHECKERS = {
-    "order_size": _check_order_size,
-    "connectivity": _check_connectivity,
-    "k_degenerate": _check_k_degenerate,
-    "odd_trees": _check_odd_trees,
-    "deletion": _check_deletion,
-    "maximal_planar": _check_maximal_planar,
-}
+    return violations
 
 
 def _check_shard(payload: tuple[str, dict, list[str]]) -> dict:
     suite, params, records = payload
-    checker = _CHECKERS[suite]
+    entry = SUITES[suite]
     violations: list[dict] = []
     witnesses: list[str] = []
     for record in records:
-        vs, is_equal = checker(record, params)
-        violations.extend(vs)
-        if is_equal:
-            witnesses.append(record)
+        g = parse_graph6(record)
+        if entry.extremal is not None:
+            vs, is_equal = _check_extremal(g, record, *entry.extremal(g, params))
+            violations.extend(vs)
+            if is_equal:
+                witnesses.append(record)
+        if entry.check is not None:
+            violations.extend(entry.check(g, record, params))
     return {
         "checked": len(records),
         "violations": violations,
@@ -481,11 +429,40 @@ def search_maximal_planar(
     return report
 
 
+class Suite(NamedTuple):
+    """A suite's runner and spec arguments, the extremal graph that bounds
+    each member as ``(family, *args)`` from the member and the report
+    params, and the suite's further checks of each member."""
+
+    verify: Callable[..., VerificationReport]
+    args: dict[str, type]
+    extremal: Callable[[Graph, dict], tuple] | None = None
+    check: Callable[[Graph, str, dict], list[dict]] | None = None
+    required: int | None = None
+
+
 SUITES = {
-    "order_size": verify_order_size,
-    "connectivity": verify_connectivity,
-    "k_degenerate": verify_k_degenerate,
-    "odd_trees": verify_odd_trees,
-    "deletion": verify_deletion_bound,
-    "maximal_planar": search_maximal_planar,
+    "order_size": Suite(
+        verify_order_size, {"n": int}, lambda g, p: (path_complete, g.n, g.m)
+    ),
+    "connectivity": Suite(
+        verify_connectivity,
+        {"n": int, "kappa": int},
+        lambda g, p: (cycle_power, p["n"], p["kappa"] // 2),
+    ),
+    "k_degenerate": Suite(
+        verify_k_degenerate,
+        {"n": int, "k": int, "klass": str},
+        lambda g, p: (path_power, p["n"], p["k"]),
+        _check_k_degenerate,
+        required=2,
+    ),
+    "odd_trees": Suite(
+        verify_odd_trees, {"n": int}, lambda g, p: (odd_caterpillar, p["n"])
+    ),
+    "deletion": Suite(verify_deletion_bound, {"n": int}, check=_check_deletion),
+    # explore's --apollonian-only picks the mode, so the spec gives n alone
+    "maximal_planar": Suite(
+        search_maximal_planar, {"n": int}, lambda g, p: (path_power, p["n"], 3)
+    ),
 }

@@ -156,7 +156,9 @@ def test_enumerate_max_n_guard(capsys):
 
 
 def test_enumerate_unknown_class(capsys):
-    assert main(["enumerate", "--class", "nope:5"]) == 2
+    for spec in ("nope:5", "connected", "k_tree:8", "k_tree:8,2,1", "connected:x",
+                 "k_tree:8,2,"):
+        assert main(["enumerate", "--class", spec]) == 2
 
 
 def test_verify_json_report(tmp_path, capsys):
@@ -206,6 +208,12 @@ def test_verify_rejects_bad_suites(capsys):
     assert main(["verify", "--suite", "order_size"]) == 2
     assert main(["verify", "--suite", "order_size:9"]) == 2
     assert main(["verify", "--suite", "connectivity:6,3"]) == 2
+    for spec in ("order_size:6,7", "connectivity:6", "order_size:x", "order_size:6,",
+                 "k_degenerate:6,2,", "k_degenerate:6,2,k_tree,1"):
+        assert main(["verify", "--suite", spec]) == 2
+    # the maximal planar search belongs to explore
+    assert main(["verify", "--suite", "maximal_planar:6"]) == 2
+    assert "unknown suite 'maximal_planar'" in capsys.readouterr().err
 
 
 def test_explore_flip_and_apollonian(tmp_path, capsys):
@@ -219,6 +227,47 @@ def test_explore_flip_and_apollonian(tmp_path, capsys):
     code = main(["explore", "--class", "maximal_planar:6", "--apollonian-only"])
     assert code == 0
     assert "coverage = partial" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["construct", "--family", "pk:6"], 2),
+        (["construct", "--family", "pk:6,8,"], 2),
+        (["compute", "--family", "path:4", "--index", "wiener:2"], 2),
+        (["compute", "--family", "path:4", "--index", "variable_wiener:x"], 2),
+        (["compute", "--family", "path:4", "--index", "variable_wiener:inf"], 2),
+        (["compute", "--family", "path:4", "--index", "gen_hyper_wiener:nan"], 2),
+        (["explore", "--class", "maximal_planar"], 2),
+        (["explore", "--class", "maximal_planar:x"], 2),
+        (["explore", "--class", "maximal_planar:6,7"], 2),
+        (["explore", "--class", "connected:6"], 2),
+        (["compute", "--family", "path:1", "--index", "wiener"], 3),
+        (["compute", "--input", "@", "--index", "harary"], 3),
+    ],
+)
+def test_bad_spec_or_input_exit_code(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 2 else "input error: "), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "path:3", "--format", "csv"],
+        ["compare", "--family", "path:3", "--family", "star:3", "--format", "edgelist"],
+        ["construct", "--family", "path:3", "--format", "json"],
+        ["verify", "--suite", "deletion:3", "--format", "xml"],
+        ["enumerate", "--class", "connected:3", "--format", "json"],
+        ["explore", "--class", "maximal_planar:4", "--format", "json"],
+        ["verify", "--suite", "deletion:3", "--seed", "1"],
+    ],
+)
+def test_unsupported_option_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_jobs_env_default(capsys, monkeypatch):

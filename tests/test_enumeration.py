@@ -261,6 +261,16 @@ def test_class_spec_dispatch():
     name, args = parse_class_spec("k_tree:8,2")
     assert (name, args) == ("k_tree", (8, 2))
     assert sum(1 for _ in enumerate_class(name, args)) == TWO_TREE_COUNTS[8]
-    for bad in ("nope:5", "connected", "k_tree:8", "connected:x"):
+    for bad in (
+        "nope:5",
+        "connected",
+        "k_tree:8",
+        "k_tree:8,2,1",
+        "connected:6,15,1",
+        "connected:x",
+        "k_tree:8,x",
+        "connected:6,",
+        "k_tree:8,2,",
+    ):
         with pytest.raises(ValueError):
             parse_class_spec(bad)

@@ -183,7 +183,19 @@ def test_parse_family_spec(spec, expected):
 
 
 @pytest.mark.parametrize(
-    "spec", ["nope:4", "path", "path:2,3", "pk:6", "path:x", "cycle:"]
+    "spec",
+    [
+        "nope:4",
+        "path",
+        "path:2,3",
+        "pk:6,8,1",
+        "pk:6",
+        "path:x",
+        "pk:6,x",
+        "cycle:",
+        "path:5,",
+        "pk:6,8,",
+    ],
 )
 def test_parse_family_spec_rejects(spec):
     with pytest.raises(ValueError):

@@ -135,7 +135,23 @@ def test_parse_index_spec(spec, name, lam):
 
 
 @pytest.mark.parametrize(
-    "spec", ["nope", "wiener:2", "variable_wiener", "variable_wiener:0"]
+    "spec",
+    [
+        "nope",
+        "nope:2",
+        "wiener:2",
+        "wiener:",
+        "variable_wiener",
+        "variable_wiener:0",
+        "variable_wiener:2,3",
+        "variable_wiener:",
+        "variable_wiener:x",
+        "variable_wiener:2,",
+        "variable_wiener:inf",
+        "variable_wiener:-inf",
+        "gen_hyper_wiener:nan",
+        "gen_hyper_wiener:inf",
+    ],
 )
 def test_parse_index_spec_rejects(spec):
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from wienerseq import (
     star,
     vertex_distance_sequence,
 )
+from wienerseq import sequences
 from wienerseq.families import odd_caterpillar
 
 entry_lists = st.lists(st.integers(1, 9), max_size=30)
@@ -213,3 +214,16 @@ def test_deletion_bound_holds_for_every_noncut_vertex(g):
         res = deletion_bound_check(g, v)
         assert res.holds
         assert res.equality == res.predicted_equality
+
+
+def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):
+    orders = []
+    real = sequences.distance_matrix
+
+    def counting(g):
+        orders.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(sequences, "distance_matrix", counting)
+    deletion_bound_check(cycle(6), 0)
+    assert orders == [6, 5]
