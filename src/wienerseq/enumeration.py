@@ -8,24 +8,29 @@ soon as a column falls below the best known one.  Twin vertices (equal
 open or closed neighborhoods) are interchangeable by an automorphism and
 only one representative per group is branched on.
 
-Enumeration is by vertex extension: every graph of order n arises from a
-graph of order n - 1 by attaching a new vertex with some neighborhood, so
-level-wise growth plus canonical deduplication yields each isomorphism
-class exactly once.  k-trees grow by attaching a new vertex to a k-clique,
-Apollonian networks by inserting a vertex into a triangular face, and
-planar triangulations close the Apollonian seed under diagonal flips.
-Yields are sorted by (size, canonical record) so output order is stable
-across runs and shard counts.
+Every class is grown by one routine: each graph of a parent class yields
+its children, each child is labeled canonically, and the first graph of
+each isomorphism class is kept.  The state is the canonical graph alone.
+All graphs of order n attach a new vertex with any neighborhood to a graph
+of order n - 1, k-trees attach it to a k-clique, and Apollonian networks
+insert it into a triangular face.  Odd trees of order n hang two leaves on
+one vertex of an odd tree of order n - 2.  Sphere triangulations close the
+Apollonian networks under diagonal flips.  Faces are derived from the
+graph, not carried beside it: in a maximal planar graph of order at least
+4 they are the triangles whose removal leaves the rest connected.  Yields
+are sorted by (size, canonical record) so output order is stable across
+runs and shard counts.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from wienerseq.graphs import (
     Graph,
+    _connected_without,
     degeneracy_check,
     is_connected,
     is_k_connected,
@@ -109,23 +114,37 @@ def canonical_form(g: Graph) -> str:
     return write_graph6(canonical_graph(g))
 
 
-@lru_cache(maxsize=None)
-def _all_graphs(n: int) -> tuple[Graph, ...]:
-    # Every unlabeled graph of order n, connected or not, as canonical
-    # representatives sorted by (size, graph6 record).
-    if n == 1:
-        return (Graph(1),)
+def _grow(
+    parents: Iterable[Graph], children: Callable[[Graph], Iterable[Graph]]
+) -> tuple[Graph, ...]:
+    # One canonical representative per isomorphism class among the children
+    # of all parents, sorted by (size, graph6 record).
     seen: dict[str, Graph] = {}
-    for g in _all_graphs(n - 1):
-        base_edges = g.edges
-        for neighborhood in range(1 << (n - 1)):
-            extra = [
-                (v, n - 1) for v in range(n - 1) if neighborhood >> v & 1
-            ]
-            h = Graph(n, base_edges + tuple(extra))
+    for g in parents:
+        for h in children(g):
             canon = canonical_graph(h)
             seen.setdefault(write_graph6(canon), canon)
-    return tuple(sorted(seen.values(), key=lambda g: (g.m, write_graph6(g))))
+    ordered = sorted(seen.items(), key=lambda item: (item[1].m, item[0]))
+    return tuple(g for _, g in ordered)
+
+
+def _attach(g: Graph, neighborhood: Iterable[int]) -> Graph:
+    # g plus a new vertex n adjacent to the given vertices.
+    return Graph(g.n + 1, g.edges + tuple((v, g.n) for v in neighborhood))
+
+
+@lru_cache(maxsize=None)
+def _all_graphs(n: int) -> tuple[Graph, ...]:
+    # Every unlabeled graph of order n, connected or not.
+    if n == 1:
+        return (Graph(1),)
+    return _grow(
+        _all_graphs(n - 1),
+        lambda g: (
+            _attach(g, [v for v in range(g.n) if mask >> v & 1])
+            for mask in range(1 << g.n)
+        ),
+    )
 
 
 def _labeled_graphs(n: int, m: int | None) -> Iterator[Graph]:
@@ -147,6 +166,10 @@ def enumerate_connected(
     """
     if not (2 <= n <= CONNECTED_MAX_N):
         raise ValueError("supported orders are 2..%d, got %r" % (CONNECTED_MAX_N, n))
+    if m is not None and not (0 <= m <= n * (n - 1) // 2):
+        raise ValueError(
+            "sizes at order %d are 0..%d, got %r" % (n, n * (n - 1) // 2, m)
+        )
     if dedup == "labeled":
         if n >= CONNECTED_MAX_N:
             raise ValueError("labeled enumeration is limited to n <= %d" % (CONNECTED_MAX_N - 1))
@@ -178,17 +201,10 @@ def _k_trees(n: int, k: int) -> tuple[Graph, ...]:
     if n < k + 1:
         raise ValueError("a %d-tree has at least %d vertices" % (k, k + 1))
     if n == k + 1:
-        return (
-            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]),
-        )
-    seen: dict[str, Graph] = {}
-    for g in _k_trees(n - 1, k):
-        for clique in _k_cliques(g, k):
-            extra = tuple((v, n - 1) for v in clique)
-            h = Graph(n, g.edges + extra)
-            canon = canonical_graph(h)
-            seen.setdefault(write_graph6(canon), canon)
-    return tuple(sorted(seen.values(), key=lambda g: (g.m, write_graph6(g))))
+        return (Graph(n, itertools.combinations(range(n), 2)),)
+    return _grow(
+        _k_trees(n - 1, k), lambda g: (_attach(g, c) for c in _k_cliques(g, k))
+    )
 
 
 def _k_cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -229,9 +245,16 @@ def enumerate_maximal_k_degenerate(n: int, k: int) -> Iterator[Graph]:
             yield g
 
 
-def _trees(n: int) -> tuple[Graph, ...]:
-    # Unlabeled trees: the k = 1 growth chain without the public ceiling.
-    return _k_trees(n, 1)
+@lru_cache(maxsize=None)
+def _odd_trees(n: int) -> tuple[Graph, ...]:
+    # A deepest internal vertex has an even number (at least two) of leaf
+    # children, so removing two of them leaves an odd tree of order n - 2.
+    if n == 2:
+        return (Graph(2, [(0, 1)]),)
+    return _grow(
+        _odd_trees(n - 2),
+        lambda g: (_attach(_attach(g, (v,)), (v,)) for v in range(g.n)),
+    )
 
 
 def enumerate_odd_trees(n: int) -> Iterator[Graph]:
@@ -242,52 +265,34 @@ def enumerate_odd_trees(n: int) -> Iterator[Graph]:
         raise ValueError(
             "supported orders are even 4..%d, got %r" % (ODD_TREE_MAX_N, n)
         )
-    for g in _trees(n):
-        if is_odd_tree(g):
-            yield g
+    for g in _odd_trees(n):
+        if not is_odd_tree(g):
+            raise RuntimeError("grown tree %s is not an odd tree" % write_graph6(g))
+        yield g
 
 
 # ---------------------------------------------------------------------------
-# Planar triangulations.  A state is (graph, faces) where faces is a sorted
-# tuple of sorted vertex triples; every triangulation of the sphere here is
-# 3-connected, so the face structure is determined by the graph and one
-# stored representative per isomorphism class suffices.
-
-Faces = tuple[tuple[int, int, int], ...]
+# Planar triangulations.  A maximal planar graph of order >= 4 is
+# 3-connected, and the faces of a 3-connected planar graph are its induced
+# cycles whose removal leaves the rest connected (Tutte); so the faces are
+# read off the graph instead of being carried beside it.
 
 
-def _triangle_state() -> tuple[Graph, Faces]:
-    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    return g, ((0, 1, 2), (0, 1, 2))
-
-
-def _insert_into_face(
-    g: Graph, faces: Faces, face_index: int
-) -> tuple[Graph, Faces]:
-    a, b, c = faces[face_index]
-    v = g.n
-    h = Graph(g.n + 1, g.edges + ((a, v), (b, v), (c, v)))
-    new_faces = list(faces[:face_index] + faces[face_index + 1:])
-    new_faces.extend(
-        (tuple(sorted((a, b, v))), tuple(sorted((a, c, v))), tuple(sorted((b, c, v))))
-    )
-    return h, tuple(sorted(new_faces))
+def _faces(g: Graph) -> Iterator[tuple[int, int, int]]:
+    for a, b in g.edges:
+        for c in g.adj[b]:
+            if c > b and g.has_edge(a, c) and _connected_without(
+                g, 1 << a | 1 << b | 1 << c
+            ):
+                yield (a, b, c)
 
 
 @lru_cache(maxsize=None)
-def _apollonian_states(n: int) -> tuple[tuple[Graph, Faces], ...]:
+def _apollonian(n: int) -> tuple[Graph, ...]:
+    # Grown from the triangle by inserting a vertex into a face.
     if n == 3:
-        return (_triangle_state(),)
-    seen: dict[str, tuple[Graph, Faces]] = {}
-    for g, faces in _apollonian_states(n - 1):
-        for i in range(len(faces)):
-            h, new_faces = _insert_into_face(g, faces, i)
-            cert = canonical_form(h)
-            seen.setdefault(cert, (h, new_faces))
-    return tuple(
-        state
-        for _, state in sorted(seen.items(), key=lambda item: item[0])
-    )
+        return (Graph(3, [(0, 1), (0, 2), (1, 2)]),)
+    return _grow(_apollonian(n - 1), lambda g: (_attach(g, f) for f in _faces(g)))
 
 
 def enumerate_apollonian(n: int) -> Iterator[Graph]:
@@ -296,79 +301,43 @@ def enumerate_apollonian(n: int) -> Iterator[Graph]:
         raise ValueError(
             "supported orders are 3..%d, got %r" % (APOLLONIAN_MAX_N, n)
         )
-    graphs = [canonical_graph(g) for g, _ in _apollonian_states(n)]
-    for g in sorted(graphs, key=write_graph6):
-        yield g
+    yield from _apollonian(n)
 
 
-def _flip_neighbors(g: Graph, faces: Faces) -> Iterator[tuple[Graph, Faces]]:
-    face_at: dict[tuple[int, int], list[int]] = {}
-    for idx, (a, b, c) in enumerate(faces):
-        for e in ((a, b), (a, c), (b, c)):
-            face_at.setdefault(e, []).append(idx)
-    for (u, v), incident in face_at.items():
-        if len(incident) != 2:
-            raise RuntimeError("edge %r is on %d faces, not 2" % ((u, v), len(incident)))
-        f1, f2 = (faces[i] for i in incident)
-        w = next(x for x in f1 if x not in (u, v))
-        x = next(y for y in f2 if y not in (u, v))
-        if w == x or g.has_edge(w, x):
-            continue
-        edges = tuple(e for e in g.edges if e != (u, v))
-        wx = (w, x) if w < x else (x, w)
-        h = Graph(g.n, edges + (wx,))
-        kept = [f for i, f in enumerate(faces) if i not in incident]
-        kept.append(tuple(sorted((u, w, x))))
-        kept.append(tuple(sorted((v, w, x))))
-        yield h, tuple(sorted(kept))
+def _flips(g: Graph) -> Iterator[Graph]:
+    # The edge uv on faces uvw and uvx is replaced by wx, unless w and x are
+    # already adjacent.
+    apexes: dict[tuple[int, ...], list[int]] = {}
+    for face in _faces(g):
+        for i, w in enumerate(face):
+            apexes.setdefault(face[:i] + face[i + 1:], []).append(w)
+    for uv, wx in apexes.items():
+        if len(wx) != 2:
+            raise RuntimeError("edge %r is on %d faces, not 2" % (uv, len(wx)))
+        if not g.has_edge(*wx):
+            yield Graph(g.n, [e for e in g.edges if e != uv] + [tuple(wx)])
 
 
 @lru_cache(maxsize=None)
-def _triangulation_states(n: int) -> tuple[tuple[Graph, Faces], ...]:
-    # Closure of the stacked triangulation under diagonal flips; the flip
-    # graph of sphere triangulations of fixed order is connected, so this
-    # reaches every isomorphism class.
-    state = _triangle_state()
-    for _ in range(3, n):
-        g, faces = state
-        state = _insert_into_face(g, faces, 0)
-    start_cert = canonical_form(state[0])
-    seen: dict[str, tuple[Graph, Faces]] = {start_cert: state}
-    queue = [state]
-    while queue:
-        g, faces = queue.pop()
-        for h, new_faces in _flip_neighbors(g, faces):
-            cert = canonical_form(h)
-            if cert not in seen:
-                seen[cert] = (h, new_faces)
-                queue.append((h, new_faces))
-    return tuple(
-        state for _, state in sorted(seen.items(), key=lambda item: item[0])
-    )
+def _triangulations(n: int) -> tuple[Graph, ...]:
+    # Closure of the Apollonian networks under diagonal flips; the flip graph
+    # of sphere triangulations of fixed order is connected, so this reaches
+    # every isomorphism class.
+    found = {write_graph6(g): g for g in _apollonian(n)}
+    frontier = tuple(found.values())
+    while frontier:
+        frontier = [g for g in _grow(frontier, _flips) if write_graph6(g) not in found]
+        found.update((write_graph6(g), g) for g in frontier)
+    return tuple(g for _, g in sorted(found.items()))
 
 
-def enumerate_maximal_planar(n: int, mode: str = "flip") -> Iterator[Graph]:
-    """Maximal planar graphs (sphere triangulations) of order n.
-
-    mode="flip" closes the stacked triangulation under diagonal flips and
-    covers the class completely; mode="apollonian" yields only the planar
-    3-trees, a proper subset from order 6 on.
-    """
+def enumerate_maximal_planar(n: int) -> Iterator[Graph]:
+    """Maximal planar graphs (sphere triangulations) of order n."""
     if not (4 <= n <= MAXIMAL_PLANAR_MAX_N):
         raise ValueError(
             "supported orders are 4..%d, got %r" % (MAXIMAL_PLANAR_MAX_N, n)
         )
-    if mode == "apollonian":
-        yield from enumerate_apollonian(n)
-        return
-    if mode != "flip":
-        raise ValueError("mode must be 'flip' or 'apollonian'")
-    graphs = [canonical_graph(g) for g, _ in _triangulation_states(n)]
-    expected = 3 * n - 6
-    for g in sorted(graphs, key=write_graph6):
-        if g.m != expected:
-            raise RuntimeError("triangulation with %d edges, not %d" % (g.m, expected))
-        yield g
+    yield from _triangulations(n)
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,9 @@ def test_enumerate_max_n_guard(capsys):
 
 def test_enumerate_unknown_class(capsys):
     for spec in ("nope:5", "connected", "k_tree:8", "k_tree:8,2,1", "connected:x",
-                 "k_tree:8,2,"):
+                 "k_tree:8,2,", "connected:5,-3", "connected:5,99"):
         assert main(["enumerate", "--class", spec]) == 2
+        assert "usage error:" in capsys.readouterr().err
 
 
 def test_verify_json_report(tmp_path, capsys):

@@ -41,6 +41,7 @@ from wienerseq import (
     star,
     write_graph6,
 )
+from wienerseq.enumeration import _faces
 
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -48,7 +49,7 @@ TWO_TREE_COUNTS = {3: 1, 4: 1, 5: 2, 6: 5, 7: 12, 8: 39, 9: 136, 10: 529}
 THREE_TREE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 15, 9: 58, 10: 275}
 APOLLONIAN_COUNTS = {3: 1, 4: 1, 5: 1, 6: 1, 7: 3, 8: 7, 9: 24, 10: 93, 11: 434}
 MAXIMAL_PLANAR_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
-ODD_TREE_COUNTS = {4: 1, 6: 2, 8: 3, 10: 7, 12: 13}
+ODD_TREE_COUNTS = {4: 1, 6: 2, 8: 3, 10: 7, 12: 13, 14: 32}
 LABELED_CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
 
@@ -139,7 +140,7 @@ def test_odd_tree_counts(n, count):
 
 
 def test_odd_tree_counts_match_reference():
-    for n in (4, 6, 8, 10):
+    for n in range(4, 15, 2):
         ref = sum(
             1
             for T in nx.nonisomorphic_trees(n)
@@ -149,9 +150,17 @@ def test_odd_tree_counts_match_reference():
 
 
 def test_odd_tree_members_are_odd_trees():
-    for n in (4, 6, 8, 10):
+    for n in range(4, 15, 2):
         for g in enumerate_odd_trees(n):
             assert is_odd_tree(g)
+
+
+def test_odd_trees_equal_filtered_trees():
+    # Growth by leaf pairs against the filter over all trees it replaced.
+    for n in range(4, 11, 2):
+        grown = {canonical_form(g) for g in enumerate_odd_trees(n)}
+        filtered = {canonical_form(g) for g in enumerate_k_trees(n, 1) if is_odd_tree(g)}
+        assert grown == filtered
 
 
 @pytest.mark.parametrize("n,count", sorted(APOLLONIAN_COUNTS.items()))
@@ -178,7 +187,43 @@ def test_apollonian_equals_planar_three_trees():
         planar = {canonical_form(g) for g in enumerate_maximal_planar(n)}
         three_trees = {canonical_form(g) for g in enumerate_k_trees(n, 3)}
         assert apo == planar & three_trees
-        assert apo == {canonical_form(g) for g in enumerate_maximal_planar(n, mode="apollonian")}
+
+
+def _sphere_triangulations():
+    # Every triangulation of order 4..9 and every Apollonian network of
+    # order 4..11; the triangle (order 3) is not 3-connected.
+    for n in range(4, 10):
+        yield from enumerate_maximal_planar(n)
+    for n in range(4, 12):
+        yield from enumerate_apollonian(n)
+
+
+def test_derived_faces_cover_each_edge_twice():
+    graphs = list(_sphere_triangulations())
+    assert len(graphs) == sum(MAXIMAL_PLANAR_COUNTS.values()) + sum(
+        count for n, count in APOLLONIAN_COUNTS.items() if n >= 4
+    )
+    for g in graphs:
+        faces = list(_faces(g))
+        assert len(faces) == 2 * g.n - 4
+        on = Counter(e for a, b, c in faces for e in ((a, b), (a, c), (b, c)))
+        assert set(on) == set(g.edges)
+        assert set(on.values()) == {2}
+
+
+def test_derived_faces_match_planar_embedding():
+    for g in _sphere_triangulations():
+        if g.n > 8:
+            continue
+        ok, embedding = nx.check_planarity(nx.Graph(list(g.edges)))
+        assert ok
+        visited = set()
+        faces = {
+            frozenset(embedding.traverse_face(u, v, mark_half_edges=visited))
+            for u, v in embedding.edges()
+            if (u, v) not in visited
+        }
+        assert faces == {frozenset(f) for f in _faces(g)}
 
 
 def test_k_connected_counts():
@@ -238,6 +283,11 @@ def test_enumeration_ceilings():
         list(enumerate_connected(9))
     with pytest.raises(ValueError):
         list(enumerate_connected(8, dedup="labeled"))
+    for m in (-1, 11):
+        with pytest.raises(ValueError):
+            list(enumerate_connected(5, m))
+    assert list(enumerate_connected(5, 3)) == []
+    assert [g.m for g in enumerate_connected(5, 10)] == [10]
     with pytest.raises(ValueError):
         list(enumerate_k_trees(11, 2))
     with pytest.raises(ValueError):
