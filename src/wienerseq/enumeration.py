@@ -12,14 +12,23 @@ Every class is grown by one routine: each graph of a parent class yields
 its children, each child is labeled canonically, and the first graph of
 each isomorphism class is kept.  The state is the canonical graph alone.
 All graphs of order n attach a new vertex with any neighborhood to a graph
-of order n - 1, k-trees attach it to a k-clique, and Apollonian networks
-insert it into a triangular face.  Odd trees of order n hang two leaves on
-one vertex of an odd tree of order n - 2.  Sphere triangulations close the
-Apollonian networks under diagonal flips.  Faces are derived from the
-graph, not carried beside it: in a maximal planar graph of order at least
-4 they are the triangles whose removal leaves the rest connected.  Yields
-are sorted by (size, canonical record) so output order is stable across
-runs and shard counts.
+of order n - 1, and Apollonian networks insert it into a triangular face.
+Odd trees of order n hang two leaves on one vertex of an odd tree of order
+n - 2.  Sphere triangulations close the Apollonian networks under diagonal
+flips.  Faces are derived from the graph, not carried beside it: in a
+maximal planar graph of order at least 4 they are the triangles whose
+removal leaves the rest connected.  Yields are sorted by (size, canonical
+record) so output order is stable across runs and shard counts.
+
+Maximal k-degenerate graphs and k-trees are stacked on K_{k+1}: each new
+vertex is attached to any k vertices, or to a k-clique for k-trees.  A
+maximal k-degenerate graph of order n > k has kn - k(k+1)/2 edges (Lick &
+White 1970), which is the most that a degeneracy order, where the i-th
+vertex has at most min(i - 1, k) earlier neighbors, allows.  So in such an
+order every vertex has exactly min(i - 1, k) earlier neighbors: the first
+k + 1 form K_{k+1} and each later one has k earlier neighbors.  Every
+stacked graph is k-degenerate with that edge count, so it is maximal.  Up
+to order k + 1 the class is K_n.
 """
 
 from __future__ import annotations
@@ -147,38 +156,15 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     )
 
 
-def _labeled_graphs(n: int, m: int | None) -> Iterator[Graph]:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        if m is not None and mask.bit_count() != m:
-            continue
-        yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
-def enumerate_connected(
-    n: int, m: int | None = None, dedup: str = "unlabeled"
-) -> Iterator[Graph]:
-    """All connected graphs of order n (and size m when given).
-
-    dedup="unlabeled" yields one canonical representative per isomorphism
-    class; dedup="labeled" yields every labeled graph and is refused for
-    n = 8, where the labeled stream is out of scale.
-    """
+def enumerate_connected(n: int, m: int | None = None) -> Iterator[Graph]:
+    """All connected graphs of order n (and size m when given), one
+    canonical representative per isomorphism class."""
     if not (2 <= n <= CONNECTED_MAX_N):
         raise ValueError("supported orders are 2..%d, got %r" % (CONNECTED_MAX_N, n))
     if m is not None and not (0 <= m <= n * (n - 1) // 2):
         raise ValueError(
             "sizes at order %d are 0..%d, got %r" % (n, n * (n - 1) // 2, m)
         )
-    if dedup == "labeled":
-        if n >= CONNECTED_MAX_N:
-            raise ValueError("labeled enumeration is limited to n <= %d" % (CONNECTED_MAX_N - 1))
-        for g in _labeled_graphs(n, m):
-            if is_connected(g):
-                yield g
-        return
-    if dedup != "unlabeled":
-        raise ValueError("dedup must be 'labeled' or 'unlabeled'")
     for g in _all_graphs(n):
         if m is not None and g.m != m:
             continue
@@ -196,29 +182,20 @@ def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
 
 
 @lru_cache(maxsize=None)
-def _k_trees(n: int, k: int) -> tuple[Graph, ...]:
-    # Grown from K_{k+1} by attaching each new vertex to a k-clique.
-    if n < k + 1:
-        raise ValueError("a %d-tree has at least %d vertices" % (k, k + 1))
-    if n == k + 1:
+def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
+    # K_n up to order k + 1; above it, each new vertex is attached to k
+    # vertices, which must form a clique when cliques is set (k-trees).
+    if n <= k + 1:
         return (Graph(n, itertools.combinations(range(n), 2)),)
     return _grow(
-        _k_trees(n - 1, k), lambda g: (_attach(g, c) for c in _k_cliques(g, k))
+        _stacked(n - 1, k, cliques),
+        lambda g: (
+            _attach(g, s)
+            for s in itertools.combinations(range(g.n), k)
+            if not cliques
+            or all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        ),
     )
-
-
-def _k_cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        for v in range(g.n):
-            yield (v,)
-    elif k == 2:
-        yield from g.edges
-    else:
-        for combo in itertools.combinations(range(g.n), k):
-            if all(
-                g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)
-            ):
-                yield combo
 
 
 def enumerate_k_trees(n: int, k: int) -> Iterator[Graph]:
@@ -230,19 +207,24 @@ def enumerate_k_trees(n: int, k: int) -> Iterator[Graph]:
             "supported orders are %d..%d for k=%d, got %r"
             % (k + 1, K_TREE_MAX_N, k, n)
         )
-    yield from _k_trees(n, k)
+    # Every vertex is a 1-clique, so trees share the maximal 1-degenerate chain.
+    yield from _stacked(n, k, k > 1)
 
 
 def enumerate_maximal_k_degenerate(n: int, k: int) -> Iterator[Graph]:
-    """Connected maximal k-degenerate graphs of order n, by filtering."""
+    """Maximal k-degenerate graphs of order n, all of them connected."""
     if not (2 <= n <= MAX_K_DEGENERATE_MAX_N):
         raise ValueError(
             "supported orders are 2..%d, got %r" % (MAX_K_DEGENERATE_MAX_N, n)
         )
-    for g in enumerate_connected(n):
-        degenerate, maximal = degeneracy_check(g, k)
-        if degenerate and maximal:
-            yield g
+    if k < 1:
+        raise ValueError("k must be positive, got %r" % (k,))
+    for g in _stacked(n, k, False):
+        if degeneracy_check(g, k) != (True, True):
+            raise RuntimeError(
+                "grown graph %s is not maximal %d-degenerate" % (write_graph6(g), k)
+            )
+        yield g
 
 
 @lru_cache(maxsize=None)

@@ -234,6 +234,7 @@ class DeletionBoundResult(NamedTuple):
     holds: bool
     equality: bool
     predicted_equality: bool
+    vertex_sequence: DistanceSequence
 
 
 def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
@@ -242,7 +243,8 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     The bound states that the distance sequence of g is coordinatewise at
     most the merge of the distance sequence of g - v with the sorted
     distances from v.  Equality is predicted exactly when every two
-    neighbors of v are at distance at most 2 in g - v.
+    neighbors of v are at distance at most 2 in g - v.  The result also
+    carries the sorted distances from v.
     """
     if not (0 <= v < g.n):
         raise ValueError("vertex %r out of range" % (v,))
@@ -252,10 +254,13 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
         raise ValueError("vertex %d is a cut vertex" % v)
     dm = distance_matrix(g)
     rem_dm = distance_matrix(delete_vertex(g, v))
-    bound = merge(_pairs_sequence(rem_dm), _row_sequence(dm, v))
+    vseq = _row_sequence(dm, v)
+    bound = merge(_pairs_sequence(rem_dm), vseq)
     rel = compare(_pairs_sequence(dm), bound)
     nbrs = [u - 1 if u > v else u for u in g.neighbors(v)]
     predicted = all(
         rem_dm.d[x][y] <= 2 for i, x in enumerate(nbrs) for y in nbrs[i + 1:]
     )
-    return DeletionBoundResult(rel.dominated, rel.tag == Dominance.EQUAL, predicted)
+    return DeletionBoundResult(
+        rel.dominated, rel.tag == Dominance.EQUAL, predicted, vseq
+    )

@@ -64,7 +64,6 @@ from wienerseq.sequences import (
     compare,
     deletion_bound_check,
     distance_sequence,
-    vertex_distance_sequence,
 )
 
 
@@ -226,7 +225,7 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
                 _violation(record, "deletion_bound", coordinate=v)
             )
         if k < n:
-            vseq = vertex_distance_sequence(g, v)
+            vseq = res.vertex_sequence
             vrel = compare(vseq, end_vertex_sequence_path_power(n, k))
             if not vrel.dominated:
                 coord = vrel.greater_at

@@ -157,7 +157,8 @@ def test_enumerate_max_n_guard(capsys):
 
 def test_enumerate_unknown_class(capsys):
     for spec in ("nope:5", "connected", "k_tree:8", "k_tree:8,2,1", "connected:x",
-                 "k_tree:8,2,", "connected:5,-3", "connected:5,99"):
+                 "k_tree:8,2,", "connected:5,-3", "connected:5,99",
+                 "maximal_k_degenerate:5,0"):
         assert main(["enumerate", "--class", spec]) == 2
         assert "usage error:" in capsys.readouterr().err
 

@@ -51,6 +51,24 @@ APOLLONIAN_COUNTS = {3: 1, 4: 1, 5: 1, 6: 1, 7: 3, 8: 7, 9: 24, 10: 93, 11: 434}
 MAXIMAL_PLANAR_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50}
 ODD_TREE_COUNTS = {4: 1, 6: 2, 8: 3, 10: 7, 12: 13, 14: 32}
 LABELED_CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+# k -> {n: count}; for k >= 5 every order 2..7 has one class (K_n, or K_7
+# minus an edge at k = 5).
+MAX_K_DEGENERATE_COUNTS = {
+    1: {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11},
+    2: {2: 1, 3: 1, 4: 1, 5: 3, 6: 11, 7: 61},
+    3: {2: 1, 3: 1, 4: 1, 5: 1, 6: 3, 7: 18},
+    4: {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 3},
+}
+
+
+def _labeled_connected(n):
+    # Every labeled connected graph of order n: the oracle for unlabeled
+    # enumeration.
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        if is_connected(g):
+            yield g
 
 
 @pytest.mark.parametrize("n,count", sorted(CONNECTED_COUNTS.items()))
@@ -78,11 +96,11 @@ def test_connected_per_size_matches_atlas():
 
 @pytest.mark.parametrize("n,count", sorted(LABELED_CONNECTED_COUNTS.items()))
 def test_labeled_connected_counts(n, count):
-    assert sum(1 for _ in enumerate_connected(n, dedup="labeled")) == count
+    assert sum(1 for _ in _labeled_connected(n)) == count
 
 
 def test_labeled_collapses_to_unlabeled():
-    forms = {canonical_form(g) for g in enumerate_connected(5, dedup="labeled")}
+    forms = {canonical_form(g) for g in _labeled_connected(5)}
     assert len(forms) == CONNECTED_COUNTS[5]
 
 
@@ -123,6 +141,33 @@ def test_k_trees_within_maximal_k_degenerate(k):
         trees = {canonical_form(g) for g in enumerate_k_trees(n, k)}
         degen = {canonical_form(g) for g in enumerate_maximal_k_degenerate(n, k)}
         assert trees <= degen
+
+
+@pytest.mark.parametrize(
+    "n,k,count",
+    [
+        (n, k, MAX_K_DEGENERATE_COUNTS.get(k, {}).get(n, 1))
+        for k in range(1, 8)
+        for n in range(2, 8)
+    ],
+)
+def test_maximal_k_degenerate_counts(n, k, count):
+    assert sum(1 for _ in enumerate_maximal_k_degenerate(n, k)) == count
+
+
+def test_maximal_k_degenerate_equals_filtered_connected():
+    # Growth from K_{k+1} against the filter over all connected graphs it
+    # replaced.
+    for n in range(2, 8):
+        connected = list(enumerate_connected(n))
+        for k in range(1, 8):
+            grown = {canonical_form(g) for g in enumerate_maximal_k_degenerate(n, k)}
+            filtered = {
+                canonical_form(g)
+                for g in connected
+                if degeneracy_check(g, k) == (True, True)
+            }
+            assert grown == filtered, (n, k)
 
 
 def test_maximal_k_degenerate_members_verify():
@@ -281,8 +326,6 @@ def test_brute_force_isomorphic_examples():
 def test_enumeration_ceilings():
     with pytest.raises(ValueError):
         list(enumerate_connected(9))
-    with pytest.raises(ValueError):
-        list(enumerate_connected(8, dedup="labeled"))
     for m in (-1, 11):
         with pytest.raises(ValueError):
             list(enumerate_connected(5, m))
@@ -294,6 +337,9 @@ def test_enumeration_ceilings():
         list(enumerate_k_trees(8, 4))
     with pytest.raises(ValueError):
         list(enumerate_k_trees(2, 2))
+    for n, k in ((8, 2), (5, 0)):
+        with pytest.raises(ValueError):
+            list(enumerate_maximal_k_degenerate(n, k))
     with pytest.raises(ValueError):
         list(enumerate_odd_trees(7))
     with pytest.raises(ValueError):

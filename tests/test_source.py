@@ -3,11 +3,14 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import wienerseq
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_no_assert_statements():
@@ -33,3 +36,16 @@ def test_tracer_patches_resolve():
     ]
     assert spans.PATCHES
     assert not missing, "tracer patches missing: %s" % ", ".join(missing)
+
+
+def test_benchmark_self_tests_pass():
+    # The benchmark pins enumeration counts (labelings of _all_graphs(5),
+    # class sizes); an enumeration change that breaks them fails here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

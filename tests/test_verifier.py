@@ -7,18 +7,23 @@ import pytest
 from wienerseq import (
     VerificationReport,
     canonical_form,
+    canonical_graph,
     csv_summary,
     cycle,
     cycle_power,
     odd_caterpillar,
     path_complete,
+    path_power,
     search_maximal_planar,
     verify_connectivity,
     verify_deletion_bound,
     verify_k_degenerate,
     verify_odd_trees,
     verify_order_size,
+    write_graph6,
 )
+from wienerseq import sequences
+from wienerseq.verifier import _check_k_degenerate
 
 
 def test_order_size_suite_passes():
@@ -58,6 +63,23 @@ def test_k_degenerate_suite_passes():
     rep = verify_k_degenerate(7, 1)
     assert rep.passed
     assert rep.graphs_checked == 11
+
+
+def test_k_degenerate_check_reuses_the_deletion_matrix(monkeypatch):
+    # One matrix of g and one of g - v, both inside deletion_bound_check;
+    # the distances from v come from the first.
+    orders = []
+    real = sequences.distance_matrix
+
+    def counting(g):
+        orders.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(sequences, "distance_matrix", counting)
+    g = canonical_graph(path_power(7, 2))
+    params = {"n": 7, "k": 2, "class": "maximal_k_degenerate"}
+    assert _check_k_degenerate(g, write_graph6(g), params) == []
+    assert orders == [7, 6]
 
 
 def test_odd_trees_suite_witness_is_the_caterpillar():
