@@ -214,12 +214,12 @@ def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
         try:
             entry: dict = {"name": defn.name, "value": evaluate(defn, seq)}
             exact = evaluate_exact(defn, seq)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+            if exact is not None:
+                entry["exact_value"] = str(exact)
+        except (ValueError, OverflowError) as exc:
+            raise InputError("index %s: %s" % (defn.display_name, exc)) from exc
         if defn.lam is not None:
             entry["lambda"] = defn.lam
-        if exact is not None:
-            entry["exact_value"] = str(exact)
         rows.append(entry)
     if cfg.fmt == "json":
         doc = _header(cfg) | {

@@ -262,7 +262,7 @@ def enumerate_odd_trees(n: int) -> Iterator[Graph]:
 
 def _faces(g: Graph) -> Iterator[tuple[int, int, int]]:
     for a, b in g.edges:
-        for c in g.adj[b]:
+        for c in g.neighbors(b):
             if c > b and g.has_edge(a, c) and _connected_without(
                 g, 1 << a | 1 << b | 1 << c
             ):
@@ -350,7 +350,7 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
     """Permutation search isomorphism test, for validating canonical forms."""
     if a.n != b.n or a.m != b.m:
         return False
-    if sorted(map(len, a.adj)) != sorted(map(len, b.adj)):
+    if sorted(map(int.bit_count, a.bits)) != sorted(map(int.bit_count, b.bits)):
         return False
     edges_b = set(b.edges)
     for perm in itertools.permutations(range(a.n)):

@@ -1,10 +1,9 @@
 """Core graph type, graph6 and edge-list codecs, and structural predicates.
 
 Vertices are the integers 0..n-1.  Graphs are simple (no loops, no parallel
-edges), undirected, and immutable once constructed.  Adjacency is stored both
-as neighbor tuples and as one bitmask per vertex; the bitmasks keep the
-breadth-first traversals used throughout the package cheap at the small
-orders this library targets.
+edges), undirected, and immutable once constructed.  Adjacency is stored
+as one bitmask per vertex, which keeps the breadth-first traversals used
+throughout the package cheap at the small orders this library targets.
 
 graph6 bit layout, which round-trips bit-exactly here: a record is
 ``<header><payload>``.  The header is ``chr(n + 63)`` for n <= 62,
@@ -43,7 +42,7 @@ class DisconnectedGraphError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "bits", "_hash")
+    __slots__ = ("n", "edges", "bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -66,10 +65,6 @@ class Graph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         self.bits = tuple(bits)
-        self.adj = tuple(
-            tuple(_iter_bits(mask)) for mask in self.bits
-        )
-        self._hash = hash((n, ordered))
 
     @property
     def m(self) -> int:
@@ -77,10 +72,11 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.bits[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        """Neighbors of v in ascending order."""
+        return tuple(_iter_bits(self.bits[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.bits[u] >> v & 1)
@@ -91,7 +87,7 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
@@ -108,12 +104,16 @@ def _iter_bits(mask: int) -> Iterator[int]:
 class DistanceMatrix:
     """All-pairs shortest-path distances of a connected graph.
 
-    ``d[u][v]`` is the hop distance, ``ecc[v]`` the eccentricity of v.
+    ``d[u][v]`` is the hop distance.
     """
 
     n: int
     d: tuple[tuple[int, ...], ...]
-    ecc: tuple[int, ...]
+
+    @property
+    def ecc(self) -> tuple[int, ...]:
+        """``ecc[v]`` is the eccentricity of v."""
+        return tuple(map(max, self.d))
 
     @property
     def diameter(self) -> int:
@@ -155,11 +155,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
                 if dv < 0:
                     raise DisconnectedGraphError((0, v))
         rows.append(tuple(row))
-    return DistanceMatrix(
-        n=g.n,
-        d=tuple(rows),
-        ecc=tuple(max(row) for row in rows),
-    )
+    return DistanceMatrix(n=g.n, d=tuple(rows))
 
 
 def _reach_mask(bits: tuple[int, ...], start: int, allowed: int) -> int:
@@ -297,7 +293,7 @@ def is_odd_tree(g: Graph) -> bool:
     """True iff g is a tree in which every vertex degree is odd."""
     if g.m != g.n - 1 or not is_connected(g):
         return False
-    return all(len(nbrs) % 2 == 1 for nbrs in g.adj)
+    return all(mask.bit_count() % 2 == 1 for mask in g.bits)
 
 
 def graph_power(g: Graph, k: int) -> Graph:

@@ -5,7 +5,8 @@ all n(n-1)/2 pairwise distances.  Sequences of equal length are partially
 ordered by coordinatewise comparison; two Wiener-type facts drive the rest
 of the package: a monotone index respects that order, and deleting a
 non-cut vertex v bounds the sequence by the merge of the remaining graph's
-sequence with the distance sequence of v.
+sequence with the distance sequence of v.  That bound is checked at every
+non-cut vertex of g from one distance matrix of g.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs;
 all comparisons and merges walk runs, never expanded entries.
@@ -246,17 +247,25 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     neighbors of v are at distance at most 2 in g - v.  The result also
     carries the sorted distances from v.
     """
-    if not (0 <= v < g.n):
-        raise ValueError("vertex %r out of range" % (v,))
-    if g.n < 2:
-        raise ValueError("need at least 2 vertices")
     if is_cut_vertex(g, v):
         raise ValueError("vertex %d is a cut vertex" % v)
     dm = distance_matrix(g)
+    return _deletion_bound(g, v, dm, _pairs_sequence(dm))
+
+
+def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
+    """``deletion_bound_check(g, v)`` at every non-cut vertex v, from one matrix of g."""
+    dm = distance_matrix(g)
+    seq = _pairs_sequence(dm)
+    return {v: _deletion_bound(g, v, dm, seq) for v in range(g.n) if not is_cut_vertex(g, v)}
+
+
+def _deletion_bound(
+    g: Graph, v: int, dm: DistanceMatrix, seq: DistanceSequence
+) -> DeletionBoundResult:
     rem_dm = distance_matrix(delete_vertex(g, v))
     vseq = _row_sequence(dm, v)
-    bound = merge(_pairs_sequence(rem_dm), vseq)
-    rel = compare(_pairs_sequence(dm), bound)
+    rel = compare(seq, merge(_pairs_sequence(rem_dm), vseq))
     nbrs = [u - 1 if u > v else u for u in g.neighbors(v)]
     predicted = all(
         rem_dm.d[x][y] <= 2 for i, x in enumerate(nbrs) for y in nbrs[i + 1:]

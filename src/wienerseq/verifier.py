@@ -63,6 +63,7 @@ from wienerseq.sequences import (
     Dominance,
     compare,
     deletion_bound_check,
+    deletion_bounds,
     distance_sequence,
 )
 
@@ -239,10 +240,7 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
 
 def _check_deletion(g: Graph, record: str, params: dict) -> list[dict]:
     violations: list[dict] = []
-    for v in range(g.n):
-        if g.n > 1 and is_cut_vertex(g, v):
-            continue
-        res = deletion_bound_check(g, v)
+    for v, res in deletion_bounds(g).items():
         if not res.holds:
             violations.append(
                 _violation(record, "deletion_bound", coordinate=v)

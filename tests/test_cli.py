@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 try:
@@ -15,12 +17,19 @@ except ImportError:  # Python 3.10
     tomllib = None
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wienerseq
+from conftest import arbitrary_graphs, connected_graphs
 from wienerseq.cli import main
+from wienerseq.graphs import is_connected, write_graph6
+from wienerseq.indices import INDICES
 
 # two trees on seven vertices whose sequences disagree in both directions
 INCOMPARABLE = ("FsOGO", "FsO__")
+
+ERROR_PREFIX = {2: "usage error: ", 3: "input error: "}
 
 
 def test_compute_text_output(capsys):
@@ -246,12 +255,15 @@ def test_explore_flip_and_apollonian(tmp_path, capsys):
         (["explore", "--class", "connected:6"], 2),
         (["compute", "--family", "path:1", "--index", "wiener"], 3),
         (["compute", "--input", "@", "--index", "harary"], 3),
+        (["compute", "--family", "path:3", "--index", "variable_wiener:5000"], 3),
+        (["compute", "--family", "path:3", "--index", "gen_hyper_wiener:3000"], 3),
+        (["compute", "--family", "path:3", "--index", "variable_wiener:-20000"], 3),
     ],
 )
 def test_bad_spec_or_input_exit_code(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("usage error: " if code == 2 else "input error: "), err
+    assert err.startswith(ERROR_PREFIX[code]), err
 
 
 @pytest.mark.parametrize(
@@ -293,6 +305,77 @@ def test_jobs_flag_validation(capsys):
     assert main(["verify", "--suite", "deletion:3", "--shards", "0"]) == 2
 
 
+@st.composite
+def graph_documents(draw):
+    """(text, graph): a graph6 record or edge list of a drawn graph, or
+    arbitrary text with graph None."""
+    form = draw(st.sampled_from(("graph6", "edgelist", "text")))
+    if form == "text":
+        # At most six characters: an edge list whose first line declares
+        # 10^9 vertices makes Graph allocate gigabytes before it can fail.
+        return draw(st.text(max_size=6)), None
+    g = draw(st.one_of(arbitrary_graphs(max_n=8), connected_graphs(max_n=8)))
+    if form == "graph6":
+        return write_graph6(g), g
+    return "\n".join([str(g.n)] + ["%d %d" % e for e in g.edges]) + "\n", g
+
+
+# |lambda| <= 1e4: exact values for much larger integer exponents need
+# gigabytes before any check can refuse them.
+exponents = st.integers(-10**4, 10**4) | st.floats(-1e4, 1e4)
+parametric = sorted(name for name, entry in INDICES.items() if entry.args)
+index_specs = st.one_of(
+    st.sampled_from(sorted(INDICES)),
+    st.builds("{}:{!r}".format, st.sampled_from(sorted(INDICES)), exponents),
+    # valid exponents come up often only with a branch of their own
+    st.builds("{}:{!r}".format, st.sampled_from(parametric), exponents),
+)
+
+
+@given(
+    graph_documents(),
+    st.sampled_from(("inline", "stdin", "file")),
+    st.lists(index_specs, max_size=3),
+)
+@settings(deadline=None, max_examples=200)
+def test_compute_input_paths_map_bad_input_to_exit_codes(document, via, specs):
+    text, g = document
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # every path gets the document on stdin, so an inline "-" reads it too
+        mp.setattr(sys, "stdin", io.StringIO(text))
+        source = {"inline": text, "stdin": "-"}.get(via)
+        if via == "file":
+            source = os.path.join(tmp, "graph.txt")
+            with open(source, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["compute", "--input=" + source] + ["--index=" + s for s in specs])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith(ERROR_PREFIX[code]), err.getvalue()
+    # a drawn graph survives every path that reads its form
+    if g is not None and (via != "inline" or text == write_graph6(g)):
+        if not specs:
+            assert code == (0 if is_connected(g) else 3), err.getvalue()
+        if code == 0:
+            assert out.getvalue().startswith("graph: n=%d m=%d\n" % (g.n, g.m))
+
+
+def test_large_exponent_overflow_exits_three_under_optimize(capsys):
+    # every distance of K_4 is 1, so a large exponent stays finite there
+    assert main(["compute", "--family", "complete:4", "--index", "variable_wiener:5000"]) == 0
+    assert "variable_wiener:5000 = 6" in capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "wienerseq", "compute",
+         "--family", "path:3", "--index", "variable_wiener:5000"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("input error: index variable_wiener:5000")
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -309,6 +392,16 @@ def _declared_entry_point(pyproject: Path) -> str:
     entry = re.search(r'^wienerseq\s*=\s*"([^"]*)"\s*$', section.group(1), re.M)
     assert entry, "[project.scripts] declares no wienerseq entry"
     return entry.group(1)
+
+
+def _child_env() -> dict:
+    # the child loads the package this process imported, wherever it lives
+    package_root = str(Path(wienerseq.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def test_console_script_version(tmp_path):
@@ -331,15 +424,9 @@ def test_console_script_version(tmp_path):
     if installed:
         commands.append([installed, "--version"])
 
-    # the child loads the package this process imported, wherever it lives
-    package_root = str(Path(wienerseq.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
     for cmd in commands:
         out = subprocess.run(
-            cmd, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60
+            cmd, capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=60
         )
         why = "%s exited %d, printed %r: %s" % (
             cmd, out.returncode, out.stdout, out.stderr

@@ -56,6 +56,17 @@ def test_graph_basic_accessors():
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
 
 
+@given(arbitrary_graphs())
+def test_adjacency_derived_from_edges(g):
+    for v in range(g.n):
+        expected = [u for u in range(g.n) if (min(u, v), max(u, v)) in g.edges]
+        assert list(g.neighbors(v)) == expected
+        assert g.degree(v) == len(expected)
+    rebuilt = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])
+    assert rebuilt == g
+    assert hash(rebuilt) == hash(g)
+
+
 def test_fixture_corpus_round_trip():
     records = FIXTURES.joinpath("records.g6").read_text().split()
     assert len(records) == 100

@@ -10,9 +10,11 @@ from wienerseq import (
     DistanceSequence,
     Dominance,
     Graph,
+    canonical_graph,
     compare,
     cycle,
     deletion_bound_check,
+    deletion_bounds,
     distance_sequence,
     is_cut_vertex,
     merge,
@@ -20,8 +22,9 @@ from wienerseq import (
     relabel,
     star,
     vertex_distance_sequence,
+    write_graph6,
 )
-from wienerseq import sequences
+from wienerseq import sequences, verifier
 from wienerseq.families import odd_caterpillar
 
 entry_lists = st.lists(st.integers(1, 9), max_size=30)
@@ -203,17 +206,22 @@ def test_deletion_bound_rejects_cut_vertex_and_bad_label():
         deletion_bound_check(path(3), 1)
     with pytest.raises(ValueError):
         deletion_bound_check(path(3), 3)
+    with pytest.raises(ValueError):
+        deletion_bounds(Graph(1))
 
 
 @given(connected_graphs(min_n=2, max_n=7))
 @settings(deadline=None)
 def test_deletion_bound_holds_for_every_noncut_vertex(g):
+    checked = {}
     for v in range(g.n):
         if is_cut_vertex(g, v):
             continue
         res = deletion_bound_check(g, v)
         assert res.holds
         assert res.equality == res.predicted_equality
+        checked[v] = res
+    assert deletion_bounds(g) == checked
 
 
 def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):
@@ -227,3 +235,8 @@ def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):
     monkeypatch.setattr(sequences, "distance_matrix", counting)
     deletion_bound_check(cycle(6), 0)
     assert orders == [6, 5]
+    # the deletion suite builds g's matrix once, then one per deleted vertex
+    orders.clear()
+    g = canonical_graph(cycle(6))
+    verifier._check_deletion(g, write_graph6(g), {"n": 6})
+    assert orders == [6, 5, 5, 5, 5, 5, 5]

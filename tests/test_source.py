@@ -49,3 +49,16 @@ def test_benchmark_self_tests_pass():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_package_exports_match_imports():
+    # A name imported into the package but missing from __all__ (or listed
+    # there but never imported) is an export that drifted out of sync.
+    path = Path(wienerseq.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == set(wienerseq.__all__) - {"__version__"}
