@@ -23,7 +23,7 @@ from wienerseq.graphs import (
     DisconnectedGraphError,
     Graph,
     GraphFormatError,
-    parse_edge_list,
+    _edge_list,
     parse_graph6,
     write_graph6,
 )
@@ -169,7 +169,14 @@ def _load_graph(source: str) -> Graph:
 def _parse_graph_text(text: str) -> Graph:
     stripped = text.strip().splitlines()
     if stripped and stripped[0].strip().isdigit():
-        return parse_edge_list(text)
+        n, edges = _edge_list(text)
+        if n > max(1, 2 * len(edges)):
+            # Some vertex is on no edge.  Say so before Graph allocates per
+            # declared vertex, so a huge vertex count fails in bounded memory.
+            ends = {v for e in edges for v in e}
+            w = next(v for v in range(n) if v not in ends)
+            raise DisconnectedGraphError((0, w) if w else (0, 1))
+        return Graph(n, edges)
     return parse_graph6(text)
 
 

@@ -1,12 +1,20 @@
 """Exhaustive enumeration of small graph classes up to isomorphism.
 
 The canonical form used for deduplication is the lexicographically largest
-graph6 record over all vertex orderings, found by a branch-and-bound
-search over placements: placing a vertex appends its adjacency column
-toward the already placed prefix, so candidate orderings are pruned as
-soon as a column falls below the best known one.  Twin vertices (equal
-open or closed neighborhoods) are interchangeable by an automorphism and
-only one representative per group is branched on.
+graph6 record over the vertex orderings that respect the graph's equitable
+partition.  Colour refinement (the root stage of individualization and
+refinement in McKay & Piperno, "Practical graph isomorphism, II", 2014)
+splits the unit partition by neighbour counts per cell until the number of
+cells stops growing, and ranks the cells in an isomorphism-invariant order.
+An allowed ordering lists the cells in rank order, so position i always
+takes a vertex of the same cell; isomorphic graphs have the same set of
+allowed records, which makes their maximum a canonical form.  The maximum
+is found by a branch-and-bound search over placements: placing a vertex
+appends its adjacency column toward the already placed prefix, so
+candidate orderings are pruned as soon as a column falls below the best
+known one.  Twin vertices (equal open or closed neighborhoods) are
+interchangeable by an automorphism, so they share a cell and only one
+representative per group is branched on.
 
 Every class is grown by one routine: each graph of a parent class yields
 its children, each child is labeled canonically, and the first graph of
@@ -58,15 +66,47 @@ ODD_TREE_MAX_N = 14
 MAXIMAL_PLANAR_MAX_N = 9
 
 
+def _cells(bits: tuple[int, ...], n: int) -> list[int]:
+    # Colour refinement from the unit partition to the coarsest equitable
+    # partition, as vertex masks.  A cell splits by the number of neighbours
+    # each of its vertices has in every cell (packed in base n, since a
+    # count is below n); the parts keep the rank of the cell and are ranked
+    # among themselves by those counts, so the ranking is
+    # isomorphism-invariant.
+    cells = [(1 << n) - 1]
+    while len(cells) < n:
+        refined = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            while cell:
+                low = cell & -cell
+                cell ^= low
+                b = bits[low.bit_length() - 1]
+                key = 0
+                for c in cells:
+                    key = key * n + (b & c).bit_count()
+                parts[key] = parts.get(key, 0) | low
+            refined.extend(parts[key] for key in sorted(parts))
+        if len(refined) == len(cells):
+            break
+        cells = refined
+    return cells
+
+
 def canonical_order(g: Graph) -> tuple[int, ...]:
-    """Vertex ordering whose graph6 record is maximal over all orderings."""
+    """Vertex ordering whose graph6 record is maximal over the orderings
+    that list the cells of the equitable partition in rank order."""
     n = g.n
     if n == 1:
         return (0,)
     bits = g.bits
     best_cols: list[int] | None = None
     best_order: list[int] | None = None
-    full = (1 << n) - 1
+    # cell_at[i] is the cell that position i of every allowed ordering takes.
+    cell_at = [c for c in _cells(bits, n) for _ in range(c.bit_count())]
 
     def dfs(order: list[int], placed: int, cols: list[int]) -> None:
         nonlocal best_cols, best_order
@@ -77,7 +117,7 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
                 best_order = order[:]
             return
         groups: dict[int, list[int]] = {}
-        rest = full & ~placed
+        rest = cell_at[i] & ~placed
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1

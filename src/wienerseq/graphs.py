@@ -442,6 +442,12 @@ def write_graph6(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list form: first line n, then one "u v" per line."""
+    return Graph(*_edge_list(text))
+
+
+def _edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    # The declared order and the validated edges, with nothing allocated
+    # per declared vertex.
     lines = [ln.strip() for ln in text.splitlines()]
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     if not rows:
@@ -482,4 +488,4 @@ def parse_edge_list(text: str) -> Graph:
             )
         seen.add(key)
         edges.append(key)
-    return Graph(n, edges)
+    return n, edges

@@ -1,0 +1,73 @@
+"""The labeler that colour refinement replaced, kept as a slow oracle.
+
+`canonical_order` below is the package's labeler before the equitable
+partition was added, unchanged: the graph6 record maximal over all vertex
+orderings.  It and the package's labeler are both canonical forms, so they
+must split graphs into the same isomorphism classes, though the records
+they choose differ.
+"""
+
+from __future__ import annotations
+
+from wienerseq import Graph, relabel, write_graph6
+
+
+
+def canonical_order(g: Graph) -> tuple[int, ...]:
+    """Vertex ordering whose graph6 record is maximal over all orderings."""
+    n = g.n
+    if n == 1:
+        return (0,)
+    bits = g.bits
+    best_cols: list[int] | None = None
+    best_order: list[int] | None = None
+    full = (1 << n) - 1
+
+    def dfs(order: list[int], placed: int, cols: list[int]) -> None:
+        nonlocal best_cols, best_order
+        i = len(order)
+        if i == n:
+            if best_cols is None or cols > best_cols:
+                best_cols = cols[:]
+                best_order = order[:]
+            return
+        groups: dict[int, list[int]] = {}
+        rest = full & ~placed
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            av = bits[v]
+            col = 0
+            for placed_v in order:
+                col = col << 1 | (av >> placed_v & 1)
+            groups.setdefault(col, []).append(v)
+        for col in sorted(groups, reverse=True):
+            if best_cols is not None and cols == best_cols[:i] and col < best_cols[i]:
+                break
+            reps: list[int] = []
+            for v in groups[col]:
+                twin = False
+                for u in reps:
+                    if bits[u] == bits[v] or (
+                        bits[u] | 1 << u == bits[v] | 1 << v
+                    ):
+                        twin = True
+                        break
+                if not twin:
+                    reps.append(v)
+            for v in reps:
+                order.append(v)
+                cols.append(col)
+                dfs(order, placed | 1 << v, cols)
+                order.pop()
+                cols.pop()
+
+    dfs([], 0, [])
+    if best_order is None:
+        raise RuntimeError("canonical search placed no ordering of %d vertices" % n)
+    return tuple(best_order)
+
+
+def old_canonical_form(g: Graph) -> str:
+    return write_graph6(relabel(g, canonical_order(g)))

@@ -1,0 +1,153 @@
+"""The labeler against the one it replaced, and on graphs that colour
+refinement cannot split or splits down to the automorphism orbits."""
+
+import hashlib
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import arbitrary_graphs, from_nx
+from old_labeler import old_canonical_form
+from wienerseq import (
+    Graph,
+    canonical_form,
+    canonical_order,
+    cycle,
+    enumerate_class,
+    parse_class_spec,
+    path,
+    relabel,
+    star,
+)
+from wienerseq.enumeration import _all_graphs, _cells
+
+# spec -> (classes, first 16 hex digits of the sha256 of the records that
+# the max-over-all-orderings labeler gave the class, sorted, one per line).
+# "all:n" is every graph of order n, connected or not.
+OLD_RECORDS = {
+    "all:1": (1, "ecf5de1a2ecc66a1"),
+    "all:2": (2, "b7cd2a004ade8613"),
+    "all:3": (4, "a1680d75ef87e824"),
+    "all:4": (11, "086836d1f4a6e90a"),
+    "all:5": (34, "4cd33c244a6b9bba"),
+    "all:6": (156, "b53ac0d60c7c818a"),
+    "all:7": (1044, "b6647fb163f23212"),
+    "k_tree:10,1": (106, "00cb057365684a18"),
+    "k_tree:10,2": (529, "9838d3191c6b05c6"),
+    "k_tree:10,3": (275, "2f09a255209283b6"),
+    "apollonian:3": (1, "8e71b38f49355768"),
+    "apollonian:4": (1, "62073900de6d9451"),
+    "apollonian:5": (1, "05714328992563e6"),
+    "apollonian:6": (1, "78fb6cd00cbe156a"),
+    "apollonian:7": (3, "855d5838e138128d"),
+    "apollonian:8": (7, "8bb07dfee3664b3c"),
+    "apollonian:9": (24, "4441f1375c6d921e"),
+    "apollonian:10": (93, "866ce72125f55f7d"),
+    "apollonian:11": (434, "a1ead82e4ab1e8ab"),
+    "maximal_planar:4": (1, "62073900de6d9451"),
+    "maximal_planar:5": (1, "05714328992563e6"),
+    "maximal_planar:6": (2, "04ba5fd5ae6adb76"),
+    "maximal_planar:7": (5, "f95a1e6b53effec1"),
+    "maximal_planar:8": (14, "de6176ea63a577eb"),
+    "maximal_planar:9": (50, "6ff0b01881506b20"),
+    "odd_tree:4": (1, "5adf47a8efd80b20"),
+    "odd_tree:6": (2, "dcb787596211fc84"),
+    "odd_tree:8": (3, "0fb4cf41c92ea164"),
+    "odd_tree:10": (7, "7571c377512264bf"),
+    "odd_tree:12": (13, "65fc7ef84db0b128"),
+    "odd_tree:14": (32, "e89478fcc311bead"),
+}
+
+
+def _class(spec):
+    if spec.startswith("all:"):
+        return _all_graphs(int(spec[4:]))
+    return tuple(enumerate_class(*parse_class_spec(spec)))
+
+
+@pytest.mark.parametrize("spec", sorted(OLD_RECORDS))
+def test_classes_are_the_old_labelers_classes(spec):
+    count, digest = OLD_RECORDS[spec]
+    records = sorted(old_canonical_form(g) + "\n" for g in _class(spec))
+    assert len(records) == count
+    assert len(set(records)) == count
+    assert hashlib.sha256("".join(records).encode()).hexdigest()[:16] == digest
+
+
+@st.composite
+def graph_pairs(draw):
+    # A relabeled copy, a copy with one pair toggled, or an unrelated graph
+    # of the same order: isomorphic pairs and near misses both come up.
+    g = draw(arbitrary_graphs(max_n=9))
+    kind = draw(st.sampled_from(("relabel", "toggle", "other")))
+    if kind == "other":
+        return g, draw(arbitrary_graphs(min_n=g.n, max_n=g.n))
+    edges = set(g.edges)
+    if kind == "toggle" and g.n >= 2:
+        u, v = sorted(draw(st.permutations(range(g.n)))[:2])
+        edges ^= {(u, v)}
+    h = Graph(g.n, sorted(edges))
+    return g, relabel(h, tuple(draw(st.permutations(range(g.n)))))
+
+
+@given(graph_pairs())
+@settings(deadline=None, max_examples=300)
+def test_old_and_new_labelers_induce_the_same_partition(pair):
+    g, h = pair
+    same_old = old_canonical_form(g) == old_canonical_form(h)
+    assert (canonical_form(g) == canonical_form(h)) == same_old
+
+
+def _nx(G):
+    return from_nx(nx.convert_node_labels_to_integers(G))
+
+
+UNSPLIT = {
+    "C_10": cycle(10),
+    "K_4,4": _nx(nx.complete_bipartite_graph(4, 4)),
+    "Q3": _nx(nx.hypercube_graph(3)),
+    "Petersen": _nx(nx.petersen_graph()),
+    "K_3,3": _nx(nx.complete_bipartite_graph(3, 3)),
+}
+
+
+def _assert_relabel_invariant(g, seed):
+    rng = random.Random(seed)
+    base = canonical_form(g)
+    for _ in range(20):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        assert canonical_form(relabel(g, tuple(order))) == base
+
+
+@pytest.mark.parametrize("name", sorted(UNSPLIT))
+def test_regular_graphs_refinement_cannot_split(name):
+    g = UNSPLIT[name]
+    assert _cells(g.bits, g.n) == [(1 << g.n) - 1]
+    # One cell admits every ordering, so the search is the old one.
+    assert canonical_form(g) == old_canonical_form(g)
+    _assert_relabel_invariant(g, seed=g.n)
+
+
+# A spider with legs of 1, 2 and 3 edges: the smallest asymmetric tree.
+SPIDER = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize(
+    "g,orbits",
+    [
+        (star(7), [{0}, set(range(1, 7))]),
+        (path(7), [{0, 6}, {1, 5}, {2, 4}, {3}]),
+        (path(8), [{0, 7}, {1, 6}, {2, 5}, {3, 4}]),
+        (SPIDER, [{v} for v in range(7)]),
+    ],
+)
+def test_refinement_splits_down_to_the_orbits(g, orbits):
+    cells = [{v for v in range(g.n) if c >> v & 1} for c in _cells(g.bits, g.n)]
+    assert sorted(map(sorted, cells)) == sorted(map(sorted, orbits))
+    assert sorted(canonical_order(g)) == list(range(g.n))
+    assert canonical_form(g) == canonical_form(relabel(g, canonical_order(g)))
+    _assert_relabel_invariant(g, seed=g.n)

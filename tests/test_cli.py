@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -90,6 +91,33 @@ def test_compute_disconnected_names_pair(tmp_path, capsys):
     assert main(["compute", "--input", str(src)]) == 3
     err = capsys.readouterr().err
     assert "no path between" in err
+
+
+@pytest.mark.parametrize(
+    "text,pair",
+    [
+        ("1000000\n", (0, 1)),
+        ("1000000\n0 1\n", (0, 2)),
+        ("5\n1 2\n0 3\n", (0, 4)),
+        ("3\n1 2\n", (0, 1)),
+    ],
+)
+@pytest.mark.parametrize("command", ["compute", "compare"])
+def test_edge_list_with_isolated_vertex_fails_before_allocating(
+    text, pair, command, capsys, monkeypatch
+):
+    # More declared vertices than twice the edges leaves one on no edge.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    argv = [command, "--input", "-"] + ["--family", "path:3"] * (command == "compare")
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "no path between %d and %d" % pair in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_compute_requires_one_graph(capsys):
@@ -311,9 +339,10 @@ def graph_documents(draw):
     arbitrary text with graph None."""
     form = draw(st.sampled_from(("graph6", "edgelist", "text")))
     if form == "text":
-        # At most six characters: an edge list whose first line declares
-        # 10^9 vertices makes Graph allocate gigabytes before it can fail.
-        return draw(st.text(max_size=6)), None
+        # Up to 64 characters, room for a first line of 10^60 vertices:
+        # an edge list that declares more than twice as many vertices as
+        # it has edges must fail as disconnected before allocating.
+        return draw(st.text(max_size=64)), None
     g = draw(st.one_of(arbitrary_graphs(max_n=8), connected_graphs(max_n=8)))
     if form == "graph6":
         return write_graph6(g), g
