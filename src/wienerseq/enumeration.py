@@ -1,9 +1,9 @@
 """Exhaustive enumeration of small graph classes up to isomorphism.
 
-The canonical form used for deduplication is the lexicographically largest
-graph6 record over the vertex orderings that respect the graph's equitable
-partition.  Colour refinement (the root stage of individualization and
-refinement in McKay & Piperno, "Practical graph isomorphism, II", 2014)
+The canonical labeling is the vertex ordering whose graph6 record is
+lexicographically largest over the orderings that respect the graph's
+equitable partition.  Colour refinement (the root stage of individualization
+and refinement in McKay & Piperno, "Practical graph isomorphism, II", 2014)
 splits the unit partition by neighbour counts per cell until the number of
 cells stops growing, and ranks the cells in an isomorphism-invariant order.
 An allowed ordering lists the cells in rank order, so position i always
@@ -17,16 +17,18 @@ interchangeable by an automorphism, so they share a cell and only one
 representative per group is branched on.
 
 Every class is grown by one routine: each graph of a parent class yields
-its children, each child is labeled canonically, and the first graph of
-each isomorphism class is kept.  The state is the canonical graph alone.
-All graphs of order n attach a new vertex with any neighborhood to a graph
-of order n - 1, and Apollonian networks insert it into a triangular face.
-Odd trees of order n hang two leaves on one vertex of an odd tree of order
-n - 2.  Sphere triangulations close the Apollonian networks under diagonal
-flips.  Faces are derived from the graph, not carried beside it: in a
-maximal planar graph of order at least 4 they are the triangles whose
-removal leaves the rest connected.  Yields are sorted by (size, canonical
-record) so output order is stable across runs and shard counts.
+its children, each child is relabeled canonically, and the set of canonical
+graphs is kept, so two children are one class exactly when their canonical
+Graphs are equal.  The state is the canonical graph alone.  All graphs of
+order n attach a new vertex with any neighborhood to a graph of order
+n - 1, and Apollonian networks insert it into a triangular face.  Odd trees
+of order n hang two leaves on one vertex of an odd tree of order n - 2.
+Sphere triangulations close the Apollonian networks under diagonal flips.
+Faces are derived from the graph, not carried beside it: in a maximal
+planar graph of order at least 4 they are the triangles whose removal
+leaves the rest connected.  graph6 is written only to sort the kept
+classes, by (size, canonical record), so output order is stable across
+runs and shard counts.
 
 Maximal k-degenerate graphs and k-trees are stacked on K_{k+1}: each new
 vertex is attached to any k vertices, or to a k-clique for k-trees.  A
@@ -167,14 +169,10 @@ def _grow(
     parents: Iterable[Graph], children: Callable[[Graph], Iterable[Graph]]
 ) -> tuple[Graph, ...]:
     # One canonical representative per isomorphism class among the children
-    # of all parents, sorted by (size, graph6 record).
-    seen: dict[str, Graph] = {}
-    for g in parents:
-        for h in children(g):
-            canon = canonical_graph(h)
-            seen.setdefault(write_graph6(canon), canon)
-    ordered = sorted(seen.items(), key=lambda item: (item[1].m, item[0]))
-    return tuple(g for _, g in ordered)
+    # of all parents.  Classes are compared as Graphs; graph6 only sorts the
+    # kept ones, by (size, record).
+    kept = {canonical_graph(h) for g in parents for h in children(g)}
+    return tuple(sorted(kept, key=lambda g: (g.m, write_graph6(g))))
 
 
 def _attach(g: Graph, neighborhood: Iterable[int]) -> Graph:
@@ -345,12 +343,12 @@ def _triangulations(n: int) -> tuple[Graph, ...]:
     # Closure of the Apollonian networks under diagonal flips; the flip graph
     # of sphere triangulations of fixed order is connected, so this reaches
     # every isomorphism class.
-    found = {write_graph6(g): g for g in _apollonian(n)}
-    frontier = tuple(found.values())
+    frontier = _apollonian(n)
+    found = set(frontier)
     while frontier:
-        frontier = [g for g in _grow(frontier, _flips) if write_graph6(g) not in found]
-        found.update((write_graph6(g), g) for g in frontier)
-    return tuple(g for _, g in sorted(found.items()))
+        frontier = set(_grow(frontier, _flips)) - found
+        found |= frontier
+    return tuple(sorted(found, key=write_graph6))
 
 
 def enumerate_maximal_planar(n: int) -> Iterator[Graph]:
@@ -384,22 +382,3 @@ def enumerate_class(name: str, args: tuple[int, ...]) -> Iterator[Graph]:
     if name not in CLASSES:
         raise ValueError("unknown class %r" % name)
     yield from CLASSES[name].target(*args)
-
-
-def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
-    """Permutation search isomorphism test, for validating canonical forms."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(map(int.bit_count, a.bits)) != sorted(map(int.bit_count, b.bits)):
-        return False
-    edges_b = set(b.edges)
-    for perm in itertools.permutations(range(a.n)):
-        ok = True
-        for u, v in a.edges:
-            pu, pv = perm[u], perm[v]
-            if ((pu, pv) if pu < pv else (pv, pu)) not in edges_b:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

@@ -197,27 +197,32 @@ def is_cut_vertex(g: Graph, v: int) -> bool:
     return not _connected_without(g, 1 << v)
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum number of vertex deletions that disconnect g.
-
-    Exhaustive search over deletion sets in increasing size; complete
-    graphs get the usual convention n - 1.  Requires a connected input.
-    """
-    if g.n < 2:
-        raise ValueError("vertex connectivity needs order at least 2")
-    if not is_connected(g):
-        raise DisconnectedGraphError(_find_unreachable_pair(g))
-    if g.m == g.n * (g.n - 1) // 2:
-        return g.n - 1
-    for size in range(1, g.n - 1):
+def _smallest_cut(g: Graph, k: int) -> int | None:
+    # Size of a smallest vertex set with fewer than k vertices whose removal
+    # disconnects g, or None if there is none.
+    for size in range(1, k):
         for cut in itertools.combinations(range(g.n), size):
             removed = 0
             for v in cut:
                 removed |= 1 << v
             if not _connected_without(g, removed):
                 return size
-    # Unreachable: a non-complete graph always has a cutset of size <= n - 2.
-    raise AssertionError("no cutset found in non-complete graph")
+    return None
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum number of vertex deletions that disconnect g.
+
+    Exhaustive search over deletion sets in increasing size; complete
+    graphs, which no cut of at most n - 2 vertices disconnects, get the
+    usual convention n - 1.  Requires a connected input.
+    """
+    if g.n < 2:
+        raise ValueError("vertex connectivity needs order at least 2")
+    if not is_connected(g):
+        raise DisconnectedGraphError(_find_unreachable_pair(g))
+    cut = _smallest_cut(g, g.n - 1)
+    return g.n - 1 if cut is None else cut
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -226,16 +231,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         raise ValueError("k must be positive")
     if g.n <= k:
         return False
-    if not is_connected(g):
-        return False
-    for size in range(1, k):
-        for cut in itertools.combinations(range(g.n), size):
-            removed = 0
-            for v in cut:
-                removed |= 1 << v
-            if not _connected_without(g, removed):
-                return False
-    return True
+    return is_connected(g) and _smallest_cut(g, k) is None
 
 
 def _find_unreachable_pair(g: Graph) -> tuple[int, int]:

@@ -30,9 +30,6 @@ F_SUM = "f_sum"
 PRODUCT = "product"
 MAX = "max"
 
-# Products switch to a log-sum evaluation beyond this many entries.
-PRODUCT_EXACT_LIMIT = 200
-
 
 @dataclass(frozen=True)
 class IndexDefinition:
@@ -192,19 +189,8 @@ def evaluate(defn: IndexDefinition, seq: DistanceSequence) -> float:
             raise ValueError("index %r has no term function" % defn.name)
         return sum(count * defn.term(value) for value, count in seq.runs)
     if defn.kind == PRODUCT:
-        if len(seq) > PRODUCT_EXACT_LIMIT:
-            return math.exp(
-                sum(count * math.log(value) for value, count in seq.runs)
-            )
-        prod = 1
-        for value, count in seq.runs:
-            prod *= value ** count
-        try:
-            return float(prod)
-        except OverflowError:
-            return math.exp(
-                sum(count * math.log(value) for value, count in seq.runs)
-            )
+        # float() of the exact product raises OverflowError past the doubles.
+        return float(math.prod(value ** count for value, count in seq.runs))
     if defn.kind == MAX:
         return float(seq.max_value)
     raise ValueError("unknown index kind %r" % defn.kind)
@@ -217,10 +203,7 @@ def evaluate_exact(
     if len(seq) == 0:
         raise ValueError("cannot evaluate an index over an empty sequence")
     if defn.kind == PRODUCT:
-        prod = 1
-        for value, count in seq.runs:
-            prod *= value ** count
-        return prod
+        return math.prod(value ** count for value, count in seq.runs)
     if defn.kind == MAX:
         return seq.max_value
     if defn.exact_term is None:

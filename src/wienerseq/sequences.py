@@ -57,22 +57,12 @@ class DistanceSequence:
         self._cum = tuple(cum)
 
     @classmethod
-    def from_entries(
-        cls, entries: Iterable[int], source_order: int | None = None
-    ) -> "DistanceSequence":
+    def from_entries(cls, entries: Iterable[int]) -> "DistanceSequence":
         """Build from an arbitrary multiset of positive integers."""
         counts: dict[int, int] = {}
         for e in entries:
             counts[e] = counts.get(e, 0) + 1
-        seq = cls(sorted(counts.items()))
-        if source_order is not None:
-            expect = source_order * (source_order - 1) // 2
-            if len(seq) != expect:
-                raise ValueError(
-                    "sequence length %d does not match order %d (need %d)"
-                    % (len(seq), source_order, expect)
-                )
-        return seq
+        return cls(sorted(counts.items()))
 
     def __len__(self) -> int:
         return self._cum[-1] if self._cum else 0
@@ -88,9 +78,6 @@ class DistanceSequence:
         for value, count in self.runs:
             for _ in range(count):
                 yield value
-
-    def entries(self) -> list[int]:
-        return list(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceSequence):

@@ -1,4 +1,7 @@
-"""Shared helpers: networkx conversion and hypothesis graph strategies."""
+"""Shared helpers: networkx conversion, a brute-force isomorphism oracle and
+hypothesis graph strategies."""
+
+import itertools
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -17,6 +20,25 @@ def from_nx(G: nx.Graph) -> Graph:
     nodes = sorted(G.nodes())
     pos = {u: i for i, u in enumerate(nodes)}
     return Graph(len(nodes), [tuple(sorted((pos[u], pos[v]))) for u, v in G.edges()])
+
+
+def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
+    """Permutation search isomorphism test, for validating canonical forms."""
+    if a.n != b.n or a.m != b.m:
+        return False
+    if sorted(map(int.bit_count, a.bits)) != sorted(map(int.bit_count, b.bits)):
+        return False
+    edges_b = set(b.edges)
+    for perm in itertools.permutations(range(a.n)):
+        ok = True
+        for u, v in a.edges:
+            pu, pv = perm[u], perm[v]
+            if ((pu, pv) if pu < pv else (pv, pu)) not in edges_b:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 @st.composite

@@ -15,11 +15,10 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from conftest import from_nx, to_nx
+from conftest import brute_force_isomorphic, from_nx, to_nx
 from wienerseq import (
     Dominance,
     Graph,
-    brute_force_isomorphic,
     canonical_form,
     compare,
     cycle,

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arbitrary_graphs, from_nx
+from conftest import arbitrary_graphs, brute_force_isomorphic, from_nx
 from wienerseq import (
     Graph,
-    brute_force_isomorphic,
     canonical_form,
     canonical_graph,
     canonical_order,
@@ -41,6 +40,7 @@ from wienerseq import (
     star,
     write_graph6,
 )
+from wienerseq import enumeration
 from wienerseq.enumeration import _faces
 
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -104,12 +104,41 @@ def test_labeled_collapses_to_unlabeled():
     assert len(forms) == CONNECTED_COUNTS[5]
 
 
-def test_enumeration_is_deterministic_and_sorted():
-    records = [write_graph6(g) for g in enumerate_connected(6)]
-    assert records == [write_graph6(g) for g in enumerate_connected(6)]
-    keys = [(g.m, write_graph6(g)) for g in enumerate_connected(6)]
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "connected:6",
+        "k_tree:8,2",
+        "maximal_k_degenerate:7,2",
+        "odd_tree:12",
+        "apollonian:9",
+        "maximal_planar:8",
+    ],
+)
+def test_enumeration_is_deterministic_and_sorted(spec):
+    name, args = parse_class_spec(spec)
+    graphs = list(enumerate_class(name, args))
+    records = [write_graph6(g) for g in graphs]
+    assert records == [write_graph6(g) for g in enumerate_class(name, args)]
+    keys = [(g.m, write_graph6(g)) for g in graphs]
     assert keys == sorted(keys)
     assert len(set(records)) == len(records)
+
+
+def test_growth_encodes_each_kept_class_once(monkeypatch):
+    # Classes are compared as Graphs, so graph6 is written only to sort the
+    # classes kept at orders 2..5: 2 + 4 + 11 + 34, not once for each of the
+    # 2 + 8 + 32 + 176 labeled children.
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return write_graph6(g)
+
+    monkeypatch.setattr(enumeration, "write_graph6", counting)
+    enumeration._all_graphs.cache_clear()
+    assert len(enumeration._all_graphs(5)) == 34
+    assert len(calls) == 51
 
 
 @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))

@@ -105,10 +105,13 @@ def test_exact_and_float_routes_agree(values):
         assert evaluate(defn, seq) == pytest.approx(float(exact), rel=1e-9)
 
 
-def test_product_switches_to_log_route_on_long_sequences():
+def test_product_is_the_exact_product_or_overflows():
     big = DistanceSequence([(2, 201)])
     assert evaluate_exact(mult_wiener(), big) == 2**201
-    assert evaluate(mult_wiener(), big) == pytest.approx(2.0**201, rel=1e-9)
+    assert evaluate(mult_wiener(), big) == 2.0**201
+    # 2^1024 is just past the largest double (about 1.797e308).
+    with pytest.raises(OverflowError):
+        evaluate(mult_wiener(), DistanceSequence([(2, 1024)]))
 
 
 def test_lambda_zero_rejected():

@@ -45,13 +45,6 @@ def test_constructor_validation():
     assert DistanceSequence([(1, 0)]) == seq_of([])
 
 
-def test_from_entries_source_order_check():
-    DistanceSequence.from_entries([1, 1, 2], source_order=3)
-    DistanceSequence.from_entries([], source_order=1)
-    with pytest.raises(ValueError):
-        DistanceSequence.from_entries([1, 1], source_order=3)
-
-
 @given(entry_lists)
 def test_entries_sorted_and_indexable(values):
     seq = seq_of(values)
