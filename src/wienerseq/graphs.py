@@ -120,42 +120,45 @@ class DistanceMatrix:
         return max(self.ecc)
 
 
-def _bfs_distances(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    bits = g.bits
-    frontier = 1 << src
-    seen = frontier
-    level = 0
-    while frontier:
+def _layers(bits: tuple[int, ...], src: int, allowed: int) -> Iterator[int]:
+    # BFS inside the vertex set `allowed` (bitmask, containing src): yields
+    # the vertices at distance 1, 2, ... from src as one mask per distance.
+    # Raises DisconnectedGraphError((src, lowest unreached)) at the end when
+    # some vertex of `allowed` was never reached.
+    seen = 1 << src
+    frontier = seen
+    while True:
         spread = 0
         m = frontier
         while m:
             low = m & -m
             spread |= bits[low.bit_length() - 1]
             m ^= low
-        frontier = spread & ~seen
+        frontier = spread & allowed & ~seen
+        if not frontier:
+            break
         seen |= frontier
-        level += 1
-        m = frontier
-        while m:
-            low = m & -m
+        yield frontier
+    missing = allowed & ~seen
+    if missing:
+        raise DisconnectedGraphError((src, (missing & -missing).bit_length() - 1))
+
+
+def _bfs_distances(g: Graph, src: int) -> tuple[int, ...]:
+    dist = [0] * g.n
+    for level, layer in enumerate(_layers(g.bits, src, (1 << g.n) - 1), 1):
+        while layer:
+            low = layer & -layer
             dist[low.bit_length() - 1] = level
-            m ^= low
-    return dist
+            layer ^= low
+    return tuple(dist)
 
 
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedGraphError with a witness pair."""
-    rows = []
-    for src in range(g.n):
-        row = _bfs_distances(g, src)
-        if src == 0:
-            for v, dv in enumerate(row):
-                if dv < 0:
-                    raise DisconnectedGraphError((0, v))
-        rows.append(tuple(row))
-    return DistanceMatrix(n=g.n, d=tuple(rows))
+    return DistanceMatrix(
+        n=g.n, d=tuple(_bfs_distances(g, src) for src in range(g.n))
+    )
 
 
 def _reach_mask(bits: tuple[int, ...], start: int, allowed: int) -> int:

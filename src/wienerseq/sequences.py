@@ -5,8 +5,15 @@ all n(n-1)/2 pairwise distances.  Sequences of equal length are partially
 ordered by coordinatewise comparison; two Wiener-type facts drive the rest
 of the package: a monotone index respects that order, and deleting a
 non-cut vertex v bounds the sequence by the merge of the remaining graph's
-sequence with the distance sequence of v.  That bound is checked at every
-non-cut vertex of g from one distance matrix of g.
+sequence with the distance sequence of v.
+
+A distance sequence is counted from BFS layers, with no matrix: each pair
+is counted once, from its lower-labelled end, as the number of
+higher-labelled vertices in that end's layer at its distance.  Restricting
+the BFS to the vertex mask ``full & ~(1 << v)`` counts the pairs of g - v
+without building g - v, so the deletion bound is checked at every non-cut
+vertex of g from one distance matrix of g (for g's sequence and the
+distances from v) and one layer count of g - v per vertex.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs;
 all comparisons and merges walk runs, never expanded entries.
@@ -22,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 from wienerseq.graphs import (
     DistanceMatrix,
     Graph,
-    delete_vertex,
+    _layers,
     distance_matrix,
     is_cut_vertex,
 )
@@ -206,9 +213,23 @@ def _row_sequence(dm: DistanceMatrix, v: int) -> DistanceSequence:
     return DistanceSequence.from_entries(d for u, d in enumerate(dm.d[v]) if u != v)
 
 
+def _layer_sequence(g: Graph, allowed: int) -> DistanceSequence:
+    # Distance sequence of the subgraph of g induced by the vertex mask
+    # `allowed`.  `rest` holds the allowed vertices above the source; the
+    # last vertex has none, so its BFS is skipped.
+    counts = [0] * (g.n - 1)
+    rest = allowed
+    while rest & (rest - 1):
+        low = rest & -rest
+        rest ^= low
+        for d, layer in enumerate(_layers(g.bits, low.bit_length() - 1, allowed)):
+            counts[d] += (layer & rest).bit_count()
+    return DistanceSequence(zip(range(1, g.n), counts))
+
+
 def distance_sequence(g: Graph) -> DistanceSequence:
     """Distance sequence of a connected graph; length n(n-1)/2."""
-    return _pairs_sequence(distance_matrix(g))
+    return _layer_sequence(g, (1 << g.n) - 1)
 
 
 def vertex_distance_sequence(g: Graph, v: int) -> DistanceSequence:
@@ -241,7 +262,8 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
 
 
 def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
-    """``deletion_bound_check(g, v)`` at every non-cut vertex v, from one matrix of g."""
+    """``deletion_bound_check(g, v)`` at every non-cut vertex v, from one
+    distance matrix of g and a layer count of g - v on the other vertices."""
     dm = distance_matrix(g)
     seq = _pairs_sequence(dm)
     return {v: _deletion_bound(g, v, dm, seq) for v in range(g.n) if not is_cut_vertex(g, v)}
@@ -250,12 +272,19 @@ def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
 def _deletion_bound(
     g: Graph, v: int, dm: DistanceMatrix, seq: DistanceSequence
 ) -> DeletionBoundResult:
-    rem_dm = distance_matrix(delete_vertex(g, v))
+    if g.n == 1:
+        raise ValueError("cannot delete the only vertex")
+    others = ((1 << g.n) - 1) & ~(1 << v)
     vseq = _row_sequence(dm, v)
-    rel = compare(seq, merge(_pairs_sequence(rem_dm), vseq))
-    nbrs = [u - 1 if u > v else u for u in g.neighbors(v)]
+    rel = compare(seq, merge(_layer_sequence(g, others), vseq))
+    # Neighbours x and y of v are within 2 in g - v when they are adjacent
+    # or share a neighbour other than v.
+    bits = g.bits
+    nbrs = g.neighbors(v)
     predicted = all(
-        rem_dm.d[x][y] <= 2 for i, x in enumerate(nbrs) for y in nbrs[i + 1:]
+        bits[x] >> y & 1 or bits[x] & bits[y] & others
+        for i, x in enumerate(nbrs)
+        for y in nbrs[i + 1:]
     )
     return DeletionBoundResult(
         rel.dominated, rel.tag == Dominance.EQUAL, predicted, vseq

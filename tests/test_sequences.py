@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs, to_nx
 from wienerseq import (
+    DisconnectedGraphError,
     DistanceSequence,
     Dominance,
     Graph,
@@ -15,6 +16,7 @@ from wienerseq import (
     cycle,
     deletion_bound_check,
     deletion_bounds,
+    distance_matrix,
     distance_sequence,
     is_cut_vertex,
     merge,
@@ -154,6 +156,22 @@ def test_distance_sequence_matches_reference(g):
     assert sum(1 for d in seq if d == 1) == g.m
 
 
+@pytest.mark.parametrize(
+    "g,pair",
+    [
+        (Graph(4, [(0, 1), (2, 3)]), (0, 2)),
+        (Graph(5, [(0, 2), (1, 3), (3, 4)]), (0, 1)),
+        (Graph(3, [(1, 2)]), (0, 1)),
+    ],
+)
+def test_distance_sequence_disconnected_names_the_matrix_pair(g, pair):
+    # (0, lowest vertex unreachable from 0), as distance_matrix names it
+    for compute in (distance_sequence, distance_matrix):
+        with pytest.raises(DisconnectedGraphError) as exc:
+            compute(g)
+        assert exc.value.pair == pair
+
+
 @st.composite
 def graph_with_permutation(draw):
     g = draw(connected_graphs(min_n=2, max_n=8))
@@ -201,6 +219,8 @@ def test_deletion_bound_rejects_cut_vertex_and_bad_label():
         deletion_bound_check(path(3), 3)
     with pytest.raises(ValueError):
         deletion_bounds(Graph(1))
+    with pytest.raises(ValueError):
+        deletion_bound_check(Graph(1), 0)
 
 
 @given(connected_graphs(min_n=2, max_n=7))
@@ -217,6 +237,39 @@ def test_deletion_bound_holds_for_every_noncut_vertex(g):
     assert deletion_bounds(g) == checked
 
 
+@given(connected_graphs(min_n=2, max_n=8))
+@settings(deadline=None)
+def test_deletion_bounds_match_networkx(g):
+    # Reference: g - v is networkx's induced subgraph on the other vertices;
+    # the bound is compared entry by entry on sorted lists, and the equality
+    # predicate is read from the distances of g - v.
+    G = to_nx(g)
+    whole = sorted(
+        d
+        for u, row in nx.all_pairs_shortest_path_length(G)
+        for w, d in row.items()
+        if u < w
+    )
+    results = deletion_bounds(g)
+    assert set(results) == set(G) - set(nx.articulation_points(G))
+    for v, res in results.items():
+        rest = dict(nx.all_pairs_shortest_path_length(G.subgraph(set(G) - {v})))
+        from_v = sorted(
+            d for w, d in nx.single_source_shortest_path_length(G, v).items() if w != v
+        )
+        bound = sorted(
+            [d for u, row in rest.items() for w, d in row.items() if u < w] + from_v
+        )
+        nbrs = sorted(G[v])
+        predicted = all(
+            rest[x][y] <= 2 for i, x in enumerate(nbrs) for y in nbrs[i + 1:]
+        )
+        assert res.holds == all(a <= b for a, b in zip(whole, bound))
+        assert res.equality == (whole == bound)
+        assert res.predicted_equality == predicted
+        assert list(res.vertex_sequence) == from_v
+
+
 def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):
     orders = []
     real = sequences.distance_matrix
@@ -226,10 +279,15 @@ def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(sequences, "distance_matrix", counting)
+    # one matrix of g; g - v is counted from layers
     deletion_bound_check(cycle(6), 0)
-    assert orders == [6, 5]
-    # the deletion suite builds g's matrix once, then one per deleted vertex
+    assert orders == [6]
+    # the deletion suite checks all six vertices from that one matrix of g
     orders.clear()
     g = canonical_graph(cycle(6))
     verifier._check_deletion(g, write_graph6(g), {"n": 6})
-    assert orders == [6, 5, 5, 5, 5, 5, 5]
+    assert orders == [6]
+    # and so builds one matrix per graph it checks
+    orders.clear()
+    rep = verifier.verify_deletion_bound(6)
+    assert len(orders) == rep.graphs_checked == 112
