@@ -12,8 +12,9 @@ is counted once, from its lower-labelled end, as the number of
 higher-labelled vertices in that end's layer at its distance.  Restricting
 the BFS to the vertex mask ``full & ~(1 << v)`` counts the pairs of g - v
 without building g - v, so the deletion bound is checked at every non-cut
-vertex of g from one distance matrix of g (for g's sequence and the
-distances from v) and one layer count of g - v per vertex.
+vertex of g from g's layer counts, one distance matrix of g (for the
+distances from v) and one layer count of g - v per vertex; the first BFS of
+that count fails exactly when v is a cut vertex.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs;
 all comparisons and merges walk runs, never expanded entries.
@@ -27,6 +28,7 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
 from wienerseq.graphs import (
+    DisconnectedGraphError,
     DistanceMatrix,
     Graph,
     _layers,
@@ -203,12 +205,6 @@ def merge(a: DistanceSequence, b: DistanceSequence) -> DistanceSequence:
     return DistanceSequence(out)
 
 
-def _pairs_sequence(dm: DistanceMatrix) -> DistanceSequence:
-    return DistanceSequence.from_entries(
-        d for u, row in enumerate(dm.d) for d in row[u + 1:]
-    )
-
-
 def _row_sequence(dm: DistanceMatrix, v: int) -> DistanceSequence:
     return DistanceSequence.from_entries(d for u, d in enumerate(dm.d[v]) if u != v)
 
@@ -257,16 +253,22 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     """
     if is_cut_vertex(g, v):
         raise ValueError("vertex %d is a cut vertex" % v)
-    dm = distance_matrix(g)
-    return _deletion_bound(g, v, dm, _pairs_sequence(dm))
+    return _deletion_bound(g, v, distance_matrix(g), distance_sequence(g))
 
 
 def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
-    """``deletion_bound_check(g, v)`` at every non-cut vertex v, from one
-    distance matrix of g and a layer count of g - v on the other vertices."""
+    """``deletion_bound_check(g, v)`` at every non-cut vertex v, from g's
+    layer counts, one distance matrix of g for the distances from v, and a
+    layer count of g - v on the other vertices."""
     dm = distance_matrix(g)
-    seq = _pairs_sequence(dm)
-    return {v: _deletion_bound(g, v, dm, seq) for v in range(g.n) if not is_cut_vertex(g, v)}
+    seq = distance_sequence(g)
+    out = {}
+    for v in range(g.n):
+        try:
+            out[v] = _deletion_bound(g, v, dm, seq)
+        except DisconnectedGraphError:
+            pass  # g - v is disconnected: v is a cut vertex
+    return out
 
 
 def _deletion_bound(
@@ -275,8 +277,9 @@ def _deletion_bound(
     if g.n == 1:
         raise ValueError("cannot delete the only vertex")
     others = ((1 << g.n) - 1) & ~(1 << v)
+    rest = _layer_sequence(g, others)
     vseq = _row_sequence(dm, v)
-    rel = compare(seq, merge(_layer_sequence(g, others), vseq))
+    rel = compare(seq, merge(rest, vseq))
     # Neighbours x and y of v are within 2 in g - v when they are adjacent
     # or share a neighbour other than v.
     bits = g.bits
