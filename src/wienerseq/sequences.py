@@ -14,7 +14,8 @@ the BFS to the vertex mask ``full & ~(1 << v)`` counts the pairs of g - v
 without building g - v, so the deletion bound is checked at every non-cut
 vertex of g from g's layer counts, one distance matrix of g (for the
 distances from v) and one layer count of g - v per vertex; the first BFS of
-that count fails exactly when v is a cut vertex.
+that count fails exactly when v is a cut vertex.  At a single vertex v, the
+distances from v are the layer sizes of one BFS from v, with no matrix.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs;
 all comparisons and merges walk runs, never expanded entries.
@@ -232,7 +233,8 @@ def vertex_distance_sequence(g: Graph, v: int) -> DistanceSequence:
     """Sorted distances from v to all other vertices; length n - 1."""
     if not (0 <= v < g.n):
         raise ValueError("vertex %r out of range" % (v,))
-    return _row_sequence(distance_matrix(g), v)
+    layers = _layers(g.bits, v, (1 << g.n) - 1)
+    return DistanceSequence((d, layer.bit_count()) for d, layer in enumerate(layers, 1))
 
 
 class DeletionBoundResult(NamedTuple):
@@ -253,7 +255,7 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     """
     if is_cut_vertex(g, v):
         raise ValueError("vertex %d is a cut vertex" % v)
-    return _deletion_bound(g, v, distance_matrix(g), distance_sequence(g))
+    return _deletion_bound(g, v, vertex_distance_sequence(g, v), distance_sequence(g))
 
 
 def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
@@ -265,20 +267,20 @@ def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
     out = {}
     for v in range(g.n):
         try:
-            out[v] = _deletion_bound(g, v, dm, seq)
+            out[v] = _deletion_bound(g, v, _row_sequence(dm, v), seq)
         except DisconnectedGraphError:
             pass  # g - v is disconnected: v is a cut vertex
     return out
 
 
 def _deletion_bound(
-    g: Graph, v: int, dm: DistanceMatrix, seq: DistanceSequence
+    g: Graph, v: int, vseq: DistanceSequence, seq: DistanceSequence
 ) -> DeletionBoundResult:
+    # vseq holds the distances from v in g, seq is g's distance sequence.
     if g.n == 1:
         raise ValueError("cannot delete the only vertex")
     others = ((1 << g.n) - 1) & ~(1 << v)
     rest = _layer_sequence(g, others)
-    vseq = _row_sequence(dm, v)
     rel = compare(seq, merge(rest, vseq))
     # Neighbours x and y of v are within 2 in g - v when they are adjacent
     # or share a neighbour other than v.

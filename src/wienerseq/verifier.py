@@ -8,6 +8,12 @@ results merge associatively (counts add, violation and witness lists are
 sorted), so reports are identical for any shard count and any worker pool
 size.
 
+The comparison with the extremal sequence and the exact index battery
+depend only on the pair (sequence, extremal sequence), and many members of
+a class share that pair.  Each shard therefore judges each distinct pair
+once, keeps the judgement for the rest of the shard, and stamps each
+member's own graph6 record into copies of its violations.
+
 A dominance pass paired with an index inequality failure cannot happen
 mathematically, so it is reported as kind "internal_inconsistency" and
 points at this package, not at the statement under test.
@@ -152,7 +158,7 @@ def csv_summary(reports: "list[VerificationReport]") -> str:
 
 
 def _violation(
-    graph6: str,
+    graph6: str | None,
     kind: str,
     coordinate: int | None = None,
     lhs: object = None,
@@ -176,21 +182,19 @@ def _extremal(family: Callable[..., Graph], *args: int) -> DistanceSequence:
     return distance_sequence(family(*args))
 
 
-def _check_extremal(
-    g: Graph, record: str, family: Callable[..., Graph], *args: int
+def _judge(
+    seq: DistanceSequence, extremal: DistanceSequence
 ) -> tuple[list[dict], bool]:
-    """Violations of g against the extremal graph family(*args), and
-    whether their distance sequences are equal."""
+    """Violations of seq against extremal, with no record stamped in yet,
+    and whether the two sequences are equal."""
     violations: list[dict] = []
-    seq = distance_sequence(g)
-    extremal = _extremal(family, *args)
     rel = compare(seq, extremal)
     if not rel.dominated:
         coord = rel.greater_at
         if coord is None:
             raise RuntimeError("undominated sequence without a larger coordinate")
         violations.append(
-            _violation(record, "dominance", coord, seq[coord], extremal[coord])
+            _violation(None, "dominance", coord, seq[coord], extremal[coord])
         )
     for defn in _BATTERY:
         if monotone_consistency(defn, seq, extremal):
@@ -198,7 +202,7 @@ def _check_extremal(
         kind = "internal_inconsistency" if rel.dominated else "index_bound"
         violations.append(
             _violation(
-                record,
+                None,
                 kind,
                 lhs=evaluate_exact(defn, seq),
                 rhs=evaluate_exact(defn, extremal),
@@ -208,18 +212,30 @@ def _check_extremal(
     return violations, rel.tag == Dominance.EQUAL
 
 
+def _check_extremal(
+    g: Graph, record: str, bound: tuple, judged: dict
+) -> tuple[list[dict], bool]:
+    """Violations of g against the extremal graph family(*args), where
+    bound is (family, *args), and whether their distance sequences are
+    equal.  judged maps each (sequence, extremal) pair met so far to its
+    judgement, so each pair is judged once."""
+    key = (distance_sequence(g), _extremal(*bound))
+    if key not in judged:
+        judged[key] = _judge(*key)
+    violations, is_equal = judged[key]
+    return [dict(v, graph6=record) for v in violations], is_equal
+
+
 def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
     n, k = params["n"], params["k"]
     violations: list[dict] = []
     if n >= k + 1 and not is_k_connected(g, k):
         violations.append(_violation(record, "k_connectivity", lhs=k))
-    degree_k = [
-        v
-        for v in range(n)
-        if g.degree(v) == k and not is_cut_vertex(g, v)
-    ]
-    if degree_k:
-        v = degree_k[0]
+    v = next(
+        (v for v in range(n) if g.degree(v) == k and not is_cut_vertex(g, v)),
+        None,
+    )
+    if v is not None:
         res = deletion_bound_check(g, v)
         if not res.holds:
             violations.append(
@@ -263,10 +279,13 @@ def _check_shard(payload: tuple[str, dict, list[str]]) -> dict:
     entry = SUITES[suite]
     violations: list[dict] = []
     witnesses: list[str] = []
+    judged: dict = {}
     for record in records:
         g = parse_graph6(record)
         if entry.extremal is not None:
-            vs, is_equal = _check_extremal(g, record, *entry.extremal(g, params))
+            vs, is_equal = _check_extremal(
+                g, record, entry.extremal(g, params), judged
+            )
             violations.extend(vs)
             if is_equal:
                 witnesses.append(record)
@@ -322,10 +341,8 @@ def _run(
 
 
 def verify_order_size(n: int, shards: int = 1, jobs: int = 1) -> VerificationReport:
-    """Every connected graph of order n against the path-complete graph of
-    its size."""
-    if not (2 <= n <= 7):
-        raise ValueError("supported orders are 2..7, got %r" % (n,))
+    """Every connected graph of order n (2..8) against the path-complete
+    graph of its size."""
     records = [write_graph6(g) for g in enumerate_connected(n)]
     return _run("order_size", {"n": n}, records, shards, jobs)
 

@@ -82,10 +82,17 @@ def _random_connected(rng, max_n=10):
 def test_criterion_1_order_size_extremal(capsys):
     failures = []
     start = time.monotonic()
-    for n in range(2, 8):
+    for n in range(2, 9):
         rep = verify_order_size(n)
         if not rep.passed:
             failures.append("order %d: %d violations" % (n, len(rep.violations)))
+    # the 11,117 connected graphs of order 8 (A001349), 117 of them with the
+    # distance sequence of the path-complete graph of their size
+    if (rep.graphs_checked, len(rep.equality_witnesses)) != (11117, 117):
+        failures.append(
+            "order 8: %d graphs, %d equality witnesses"
+            % (rep.graphs_checked, len(rep.equality_witnesses))
+        )
     # directional inequalities re-derived with exact arithmetic
     for n in range(2, 7):
         for g in enumerate_connected(n):
@@ -98,7 +105,7 @@ def test_criterion_1_order_size_extremal(capsys):
     elapsed = time.monotonic() - start
     if elapsed >= 600:
         failures.append("took %.0fs, budget is 600s" % elapsed)
-    _verdict(capsys, "criterion 1, size-constrained dominance at orders 2..7", failures)
+    _verdict(capsys, "criterion 1, size-constrained dominance at orders 2..8", failures)
 
 
 def test_criterion_2_deletion_bound(capsys):

@@ -5,12 +5,19 @@ import json
 import pytest
 
 from wienerseq import (
+    Dominance,
     VerificationReport,
     canonical_form,
     canonical_graph,
+    compare,
+    complete,
     csv_summary,
     cycle,
     cycle_power,
+    distance_sequence,
+    enumerate_connected,
+    evaluate_exact,
+    monotone_consistency,
     odd_caterpillar,
     path_complete,
     path_power,
@@ -22,8 +29,8 @@ from wienerseq import (
     verify_order_size,
     write_graph6,
 )
-from wienerseq import sequences
-from wienerseq.verifier import _check_k_degenerate
+from wienerseq import sequences, verifier
+from wienerseq.verifier import SUITES, _BATTERY, _check_k_degenerate
 
 
 def test_order_size_suite_passes():
@@ -66,8 +73,8 @@ def test_k_degenerate_suite_passes():
 
 
 def test_k_degenerate_check_reuses_the_deletion_matrix(monkeypatch):
-    # One matrix of g, inside deletion_bound_check, which also gives the
-    # distances from v; g - v is counted from layers.
+    # No matrix: deletion_bound_check takes the distances from v from one
+    # BFS from v, g's sequence and g - v are counted from layers.
     orders = []
     real = sequences.distance_matrix
 
@@ -79,7 +86,97 @@ def test_k_degenerate_check_reuses_the_deletion_matrix(monkeypatch):
     g = canonical_graph(path_power(7, 2))
     params = {"n": 7, "k": 2, "class": "maximal_k_degenerate"}
     assert _check_k_degenerate(g, write_graph6(g), params) == []
-    assert orders == [7]
+    assert orders == []
+
+
+def test_battery_runs_once_per_distinct_sequence(monkeypatch):
+    # The 21 connected graphs of order 5 have 12 distinct distance
+    # sequences.  A sequence fixes the size m (its number of 1s) and so the
+    # extremal P_5^m, so there are 12 distinct (sequence, extremal) pairs,
+    # and each runs the 7-index battery once: 7 * 12 = 84 calls, not the
+    # 7 * 21 = 147 of one battery per graph.  The memo lives for one shard,
+    # so a second identical run makes 84 calls again.
+    calls = []
+    real = verifier.monotone_consistency
+
+    def counting(defn, a, b):
+        calls.append(defn)
+        return real(defn, a, b)
+
+    monkeypatch.setattr(verifier, "monotone_consistency", counting)
+    verify_order_size(5)
+    assert len(calls) == 84
+    calls.clear()
+    verify_order_size(5)
+    assert len(calls) == 84
+
+
+def _memo_free_report(n: int, extremal_of) -> VerificationReport:
+    # The order-size report built graph by graph, with no memo: each graph's
+    # own sequence against its own extremal, with compare,
+    # monotone_consistency and evaluate_exact.
+    violations, witnesses = [], []
+    graphs = list(enumerate_connected(n))
+    for g in graphs:
+        record = write_graph6(g)
+        seq = distance_sequence(g)
+        extremal = distance_sequence(extremal_of(g))
+        rel = compare(seq, extremal)
+        if not rel.dominated:
+            c = rel.greater_at
+            violations.append(
+                {
+                    "graph6": record,
+                    "kind": "dominance",
+                    "coordinate": c,
+                    "lhs": str(seq[c]),
+                    "rhs": str(extremal[c]),
+                }
+            )
+        for defn in _BATTERY:
+            if not monotone_consistency(defn, seq, extremal):
+                violations.append(
+                    {
+                        "graph6": record,
+                        "kind": "internal_inconsistency"
+                        if rel.dominated
+                        else "index_bound",
+                        "coordinate": None,
+                        "lhs": str(evaluate_exact(defn, seq)),
+                        "rhs": str(evaluate_exact(defn, extremal)),
+                        "index": defn.display_name,
+                    }
+                )
+        if rel.tag == Dominance.EQUAL:
+            witnesses.append(record)
+    violations.sort(key=lambda v: json.dumps(v, sort_keys=True))
+    return VerificationReport(
+        "order_size", {"n": n}, len(graphs), violations, sorted(witnesses)
+    )
+
+
+def test_violations_match_a_memo_free_reference(monkeypatch):
+    # Against K_n every connected graph of order 6 but K_6 itself has a
+    # larger distance sequence, so 111 of the 112 graphs are violations.
+    monkeypatch.setitem(
+        SUITES,
+        "order_size",
+        SUITES["order_size"]._replace(extremal=lambda g, p: (complete, g.n)),
+    )
+    want = _memo_free_report(6, lambda g: complete(g.n))
+    assert len(want.violations) == 111
+    assert want.equality_witnesses == [write_graph6(complete(6))]
+    for shards in (1, 4):
+        rep = verify_order_size(6, shards=shards)
+        assert rep.to_json(include_meta=False) == want.to_json(include_meta=False)
+    # graphs that share a sequence each get a violation under their own record
+    by_seq: dict = {}
+    for g in enumerate_connected(6):
+        by_seq.setdefault(distance_sequence(g), []).append(write_graph6(g))
+    shared = [r for records in by_seq.values() if len(records) > 1 for r in records]
+    assert len(shared) > 2
+    flagged = [v["graph6"] for v in rep.violations]
+    assert all(flagged.count(r) == 1 for r in shared)
 
 
 def test_odd_trees_suite_witness_is_the_caterpillar():
@@ -107,7 +204,7 @@ def test_maximal_planar_coverage_labels():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: verify_order_size(8),
+        lambda: verify_order_size(9),
         lambda: verify_order_size(1),
         lambda: verify_connectivity(9, 2),
         lambda: verify_k_degenerate(6, 2, klass="nope"),
