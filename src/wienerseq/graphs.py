@@ -5,6 +5,12 @@ edges), undirected, and immutable once constructed.  Adjacency is stored
 as one bitmask per vertex, which keeps the breadth-first traversals used
 throughout the package cheap at the small orders this library targets.
 
+The module holds the ``Graph`` type; one layered BFS inside a vertex mask
+(``_layers``) for distances, graph powers and layer counts, and its
+reach-only form (``_reach_mask``) for connectivity, cut vertices and
+k-connectivity; the degeneracy and odd-tree predicates; relabeling; and
+the graph6 and edge-list codecs.
+
 graph6 bit layout, which round-trips bit-exactly here: a record is
 ``<header><payload>``.  The header is ``chr(n + 63)`` for n <= 62,
 ``"~"`` plus three characters (18-bit big-endian value, 6 bits per
@@ -177,19 +183,16 @@ def _reach_mask(bits: tuple[int, ...], start: int, allowed: int) -> int:
     return seen
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    full = (1 << g.n) - 1
-    return _reach_mask(g.bits, 0, full) == full
-
-
 def _connected_without(g: Graph, removed: int) -> bool:
     allowed = ((1 << g.n) - 1) & ~removed
     if allowed == 0:
         return True
     start = (allowed & -allowed).bit_length() - 1
     return _reach_mask(g.bits, start, allowed) == allowed
+
+
+def is_connected(g: Graph) -> bool:
+    return _connected_without(g, 0)
 
 
 def is_cut_vertex(g: Graph, v: int) -> bool:
@@ -213,21 +216,6 @@ def _smallest_cut(g: Graph, k: int) -> int | None:
     return None
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum number of vertex deletions that disconnect g.
-
-    Exhaustive search over deletion sets in increasing size; complete
-    graphs, which no cut of at most n - 2 vertices disconnects, get the
-    usual convention n - 1.  Requires a connected input.
-    """
-    if g.n < 2:
-        raise ValueError("vertex connectivity needs order at least 2")
-    if not is_connected(g):
-        raise DisconnectedGraphError(_find_unreachable_pair(g))
-    cut = _smallest_cut(g, g.n - 1)
-    return g.n - 1 if cut is None else cut
-
-
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices and no cutset smaller than k."""
     if k < 1:
@@ -235,13 +223,6 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if g.n <= k:
         return False
     return is_connected(g) and _smallest_cut(g, k) is None
-
-
-def _find_unreachable_pair(g: Graph) -> tuple[int, int]:
-    full = (1 << g.n) - 1
-    seen = _reach_mask(g.bits, 0, full)
-    missing = full & ~seen
-    return (0, (missing & -missing).bit_length() - 1)
 
 
 def degeneracy_check(g: Graph, k: int) -> tuple[bool, bool]:
@@ -299,16 +280,15 @@ def graph_power(g: Graph, k: int) -> Graph:
     """k-th power: join vertices at distance at most k.  Needs connected input."""
     if k < 1:
         raise ValueError("power exponent must be positive")
-    dm = distance_matrix(g)
-    if k == 1:
-        return g
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if dm.d[u][v] <= k
-    ]
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    edges = []
+    for u in range(g.n):
+        # Drain the whole BFS, so a disconnected input raises for any k.
+        near = 0
+        for layer in list(_layers(g.bits, u, full))[:k]:
+            near |= layer
+        edges.extend((u, v) for v in _iter_bits(near) if v > u)
+    return g if k == 1 else Graph(g.n, edges)
 
 
 def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
@@ -317,26 +297,6 @@ def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
     for i, v in enumerate(order):
         pos[v] = i
     return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by `vertices`, relabeled in their sorted order."""
-    keep = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in g.edges
-        if u in pos and v in pos
-    ]
-    return Graph(len(keep), edges)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    if not (0 <= v < g.n):
-        raise ValueError("vertex %r out of range" % (v,))
-    if g.n == 1:
-        raise ValueError("cannot delete the only vertex")
-    return induced_subgraph(g, (u for u in range(g.n) if u != v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Wiener-type distance indices evaluated over run-length sequences.
 
 An index is a sum, product, or maximum over the entries of a distance
-sequence.  Sum-type indices apply a term function f(d) to each entry; the
-monotonicity of f decides which direction of a dominance relation the
-index value must follow.  Where the term is rational we also evaluate
-exactly (int or Fraction) so that verification suites never rely on
-floating-point comparisons.
+sequence.  Sum-type indices apply one term function f(d) to each entry;
+the monotonicity of f decides which direction of a dominance relation the
+index value must follow.  The term is exact (int or Fraction) wherever the
+index is rational, so verification suites never rely on floating-point
+comparisons, and a float only for the indices that are not (a non-integer
+exponent, the logarithm).  One aggregate gives every value: the exact
+value where there is one, and the float value is the double nearest it.
 """
 
 from __future__ import annotations
@@ -35,54 +37,38 @@ MAX = "max"
 class IndexDefinition:
     """A distance index: name, aggregation kind, term, monotonicity.
 
-    ``term`` maps a positive integer distance to a float (f_sum kind only);
-    ``exact_term`` is its exact counterpart returning int or Fraction when
-    the index admits one.  ``lam`` records the parameter of parametric
-    families.
+    ``term`` maps a positive integer distance to the index's contribution
+    (f_sum kind only): an int or Fraction where the index is rational, a
+    float otherwise.  ``lam`` records the parameter of parametric families.
     """
 
     name: str
     kind: str
     monotonicity: str
-    term: Callable[[int], float] | None = None
-    exact_term: Callable[[int], "int | Fraction"] | None = None
+    term: Callable[[int], "int | Fraction | float"] | None = None
     lam: float | None = None
 
     @property
     def display_name(self) -> str:
         if self.lam is None:
             return self.name
-        lam = self.lam
-        text = "%g" % lam
-        return "%s:%s" % (self.name, text)
+        return "%s:%g" % (self.name, self.lam)
 
 
 def wiener() -> IndexDefinition:
     """Sum of all distances."""
-    return IndexDefinition(
-        "wiener", F_SUM, INCREASING, term=float, exact_term=int
-    )
+    return IndexDefinition("wiener", F_SUM, INCREASING, term=int)
 
 
 def harary() -> IndexDefinition:
     """Sum of reciprocal distances."""
-    return IndexDefinition(
-        "harary",
-        F_SUM,
-        DECREASING,
-        term=lambda d: 1.0 / d,
-        exact_term=lambda d: Fraction(1, d),
-    )
+    return IndexDefinition("harary", F_SUM, DECREASING, term=lambda d: Fraction(1, d))
 
 
 def hyper_wiener() -> IndexDefinition:
     """Sum of (d^2 + d) / 2 over all distances."""
     return IndexDefinition(
-        "hyper_wiener",
-        F_SUM,
-        INCREASING,
-        term=lambda d: (d * d + d) / 2.0,
-        exact_term=lambda d: (d * d + d) // 2,
+        "hyper_wiener", F_SUM, INCREASING, term=lambda d: (d * d + d) // 2
     )
 
 
@@ -91,22 +77,24 @@ def _check_exponent(name: str, lam: float) -> None:
         raise ValueError("%s requires a finite nonzero exponent, got %r" % (name, lam))
 
 
+def _power(lam: float) -> Callable[[int], "int | Fraction | float"]:
+    # d -> d^lam, exact for an integer exponent.
+    if not float(lam).is_integer():
+        return lambda d: float(d) ** lam
+    ilam = int(lam)
+    if ilam > 0:
+        return lambda d: d ** ilam
+    return lambda d: Fraction(1, d ** -ilam)
+
+
 def variable_wiener(lam: float) -> IndexDefinition:
     """Sum of d^lam; increasing for lam > 0, decreasing for lam < 0."""
     _check_exponent("variable_wiener", lam)
-    exact = None
-    if float(lam).is_integer():
-        ilam = int(lam)
-        if ilam > 0:
-            exact = lambda d: d ** ilam
-        else:
-            exact = lambda d: Fraction(1, d ** (-ilam))
     return IndexDefinition(
         "variable_wiener",
         F_SUM,
         INCREASING if lam > 0 else DECREASING,
-        term=lambda d: float(d) ** lam,
-        exact_term=exact,
+        term=_power(lam),
         lam=float(lam),
     )
 
@@ -114,21 +102,16 @@ def variable_wiener(lam: float) -> IndexDefinition:
 def gen_hyper_wiener(lam: float) -> IndexDefinition:
     """Sum of (d^lam + d^(2 lam)) / 2."""
     _check_exponent("gen_hyper_wiener", lam)
-    exact = None
     if float(lam).is_integer():
-        ilam = int(lam)
-        if ilam > 0:
-            exact = lambda d: Fraction(d ** ilam + d ** (2 * ilam), 2)
-        else:
-            exact = lambda d: Fraction(
-                d ** (-ilam) + d ** (-2 * ilam), 2 * d ** (-3 * ilam)
-            )
+        once, twice = _power(lam), _power(2 * lam)
+        term = lambda d: Fraction(once(d) + twice(d), 2)
+    else:
+        term = lambda d: (float(d) ** lam + float(d) ** (2 * lam)) / 2.0
     return IndexDefinition(
         "gen_hyper_wiener",
         F_SUM,
         INCREASING if lam > 0 else DECREASING,
-        term=lambda d: (float(d) ** lam + float(d) ** (2 * lam)) / 2.0,
-        exact_term=exact,
+        term=term,
         lam=float(lam),
     )
 
@@ -136,11 +119,7 @@ def gen_hyper_wiener(lam: float) -> IndexDefinition:
 def tsz() -> IndexDefinition:
     """Sum of (d + d^2/2 + d^3/6) / 3, the cubic Taylor sum per pair."""
     return IndexDefinition(
-        "tsz",
-        F_SUM,
-        INCREASING,
-        term=lambda d: (d + d * d / 2.0 + d * d * d / 6.0) / 3.0,
-        exact_term=lambda d: Fraction(d * d * d + 3 * d * d + 6 * d, 18),
+        "tsz", F_SUM, INCREASING, term=lambda d: Fraction(d * (d * d + 3 * d + 6), 18)
     )
 
 
@@ -151,14 +130,12 @@ def mult_wiener() -> IndexDefinition:
 
 def log_mult_wiener() -> IndexDefinition:
     """Sum of ln d, the logarithm of the multiplicative index."""
-    return IndexDefinition(
-        "log_mult_wiener", F_SUM, INCREASING, term=math.log
-    )
+    return IndexDefinition("log_mult_wiener", F_SUM, INCREASING, term=math.log)
 
 
 def diameter_index() -> IndexDefinition:
     """Largest entry; only nondecreasing, ties are everywhere."""
-    return IndexDefinition("diameter", MAX, NONDECREASING, exact_term=int)
+    return IndexDefinition("diameter", MAX, NONDECREASING)
 
 
 INDICES = {
@@ -180,38 +157,55 @@ def parse_index_spec(spec: str) -> IndexDefinition:
     return INDICES[name].target(*args)
 
 
-def evaluate(defn: IndexDefinition, seq: DistanceSequence) -> float:
-    """Double precision value of the index over a nonempty sequence."""
-    if len(seq) == 0:
+def _value(
+    defn: IndexDefinition, runs: tuple[tuple[int, int], ...]
+) -> "int | Fraction | float":
+    # The index over a run-length sequence: exact (int or Fraction) where
+    # the index is rational, a float where its term is.
+    if not runs:
         raise ValueError("cannot evaluate an index over an empty sequence")
-    if defn.kind == F_SUM:
-        if defn.term is None:
-            raise ValueError("index %r has no term function" % defn.name)
-        return sum(count * defn.term(value) for value, count in seq.runs)
     if defn.kind == PRODUCT:
-        # float() of the exact product raises OverflowError past the doubles.
-        return float(math.prod(value ** count for value, count in seq.runs))
+        return math.prod(value ** count for value, count in runs)
     if defn.kind == MAX:
-        return float(seq.max_value)
-    raise ValueError("unknown index kind %r" % defn.kind)
+        return runs[-1][0]
+    if defn.kind != F_SUM:
+        raise ValueError("unknown index kind %r" % defn.kind)
+    if defn.term is None:
+        raise ValueError("index %r has no term function" % defn.name)
+    total: "int | Fraction | float" = 0
+    for value, count in runs:
+        total += count * defn.term(value)
+    return total
+
+
+def evaluate(defn: IndexDefinition, seq: DistanceSequence) -> float:
+    """The double nearest the index's value over a nonempty sequence.
+
+    Raises OverflowError when that value lies past the doubles.
+    """
+    return float(_value(defn, seq.runs))
 
 
 def evaluate_exact(
     defn: IndexDefinition, seq: DistanceSequence
 ) -> "int | Fraction | None":
-    """Exact value where the index admits one, else None."""
-    if len(seq) == 0:
-        raise ValueError("cannot evaluate an index over an empty sequence")
-    if defn.kind == PRODUCT:
-        return math.prod(value ** count for value, count in seq.runs)
-    if defn.kind == MAX:
-        return seq.max_value
-    if defn.exact_term is None:
-        return None
-    total: "int | Fraction" = 0
-    for value, count in seq.runs:
-        total += count * defn.exact_term(value)
-    return total
+    """Exact value where the index is rational, else None."""
+    value = _value(defn, seq.runs)
+    return None if isinstance(value, float) else value
+
+
+def _order_size_bound(
+    defn: IndexDefinition, n: int, m: int
+) -> "int | Fraction | float":
+    # The index of the sequence 1^m 2^(pairs - m).
+    if defn.kind != F_SUM:
+        raise ValueError("order-size bound is defined for sum-type indices only")
+    pairs = n * (n - 1) // 2
+    if not (n - 1 <= m <= pairs):
+        raise ValueError(
+            "need n-1 <= m <= n(n-1)/2, got n=%d m=%d" % (n, m)
+        )
+    return _value(defn, ((1, m), (2, pairs - m)))
 
 
 def order_size_lower_bound(defn: IndexDefinition, n: int, m: int) -> float:
@@ -222,29 +216,17 @@ def order_size_lower_bound(defn: IndexDefinition, n: int, m: int) -> float:
     graphs of diameter at most 2; for a decreasing term the same
     expression is an upper bound.
     """
-    if defn.kind != F_SUM:
-        raise ValueError("order-size bound is defined for sum-type indices only")
-    pairs = n * (n - 1) // 2
-    if not (n - 1 <= m <= pairs):
-        raise ValueError(
-            "need n-1 <= m <= n(n-1)/2, got n=%d m=%d" % (n, m)
-        )
-    if defn.term is None:
-        raise ValueError("index %r has no term function" % defn.name)
-    return m * defn.term(1) + (pairs - m) * defn.term(2)
+    return float(_order_size_bound(defn, n, m))
 
 
 def order_size_lower_bound_exact(
     defn: IndexDefinition, n: int, m: int
 ) -> "int | Fraction | None":
-    if defn.kind != F_SUM or defn.exact_term is None:
+    """The same bound, exact where the index is rational, else None."""
+    if defn.kind != F_SUM:
         return None
-    pairs = n * (n - 1) // 2
-    if not (n - 1 <= m <= pairs):
-        raise ValueError(
-            "need n-1 <= m <= n(n-1)/2, got n=%d m=%d" % (n, m)
-        )
-    return m * defn.exact_term(1) + (pairs - m) * defn.exact_term(2)
+    value = _order_size_bound(defn, n, m)
+    return None if isinstance(value, float) else value
 
 
 def monotone_consistency(
@@ -259,11 +241,8 @@ def monotone_consistency(
     rel = compare(a, b)
     if rel.tag == Dominance.INCOMPARABLE:
         return True
-    exact_a = evaluate_exact(defn, a)
-    exact_b = evaluate_exact(defn, b)
-    if exact_a is not None and exact_b is not None:
-        va, vb = exact_a, exact_b
-    else:
+    va, vb = evaluate_exact(defn, a), evaluate_exact(defn, b)
+    if va is None or vb is None:
         va, vb = evaluate(defn, a), evaluate(defn, b)
     if rel.tag == Dominance.EQUAL:
         return va == vb

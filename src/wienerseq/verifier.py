@@ -357,8 +357,6 @@ def verify_connectivity(
         raise ValueError(
             "only even connectivity targets are supported, got %r" % (kappa,)
         )
-    if not (3 <= n <= 8):
-        raise ValueError("supported orders are 3..8, got %r" % (n,))
     if n < kappa + 1:
         raise ValueError("no %d-connected graphs of order %d" % (kappa, n))
     records = [write_graph6(g) for g in enumerate_k_connected(n, kappa)]
@@ -411,9 +409,7 @@ def verify_odd_trees(n: int, shards: int = 1, jobs: int = 1) -> VerificationRepo
 
 def verify_deletion_bound(n: int, shards: int = 1, jobs: int = 1) -> VerificationReport:
     """The vertex deletion bound and its equality predicate at every
-    non-cut vertex of every connected graph of order n."""
-    if not (2 <= n <= 7):
-        raise ValueError("supported orders are 2..7, got %r" % (n,))
+    non-cut vertex of every connected graph of order n (2..8)."""
     records = [write_graph6(g) for g in enumerate_connected(n)]
     return _run("deletion", {"n": n}, records, shards, jobs)
 
@@ -425,11 +421,9 @@ def search_maximal_planar(
     sequence is not dominated by the cube of the path.
 
     mode="flip" covers the class completely via flip closure
-    (coverage "complete"); mode="apollonian" checks only planar 3-trees
-    (coverage "partial").
+    (coverage "complete", orders 4..9); mode="apollonian" checks only
+    planar 3-trees (coverage "partial", orders 3..11).
     """
-    if not (4 <= n <= 9):
-        raise ValueError("supported orders are 4..9, got %r" % (n,))
     if mode == "apollonian":
         records = [write_graph6(g) for g in enumerate_apollonian(n)]
         coverage = "partial"

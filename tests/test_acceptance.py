@@ -23,6 +23,7 @@ from wienerseq import (
     compare,
     cycle,
     cycle_power,
+    diameter_index,
     distance_matrix,
     distance_sequence,
     end_vertex_sequence_path_power,
@@ -110,13 +111,15 @@ def test_criterion_1_order_size_extremal(capsys):
 
 def test_criterion_2_deletion_bound(capsys):
     failures = []
-    for n in range(2, 8):
+    for n in range(2, 9):
         rep = verify_deletion_bound(n)
         if not rep.passed:
             failures.append("order %d: %d violations" % (n, len(rep.violations)))
+    if rep.graphs_checked != 11117:
+        failures.append("order 8: %d graphs" % rep.graphs_checked)
     _verdict(
         capsys,
-        "criterion 2, vertex deletion bound and equality predicate at orders 2..7",
+        "criterion 2, vertex deletion bound and equality predicate at orders 2..8",
         failures,
     )
 
@@ -197,6 +200,17 @@ def test_criterion_6_index_identities(capsys):
     for defn, expected in frozen:
         if evaluate_exact(defn, t6) != expected:
             failures.append("frozen %s value mismatch" % defn.name)
+    exact_indices = [
+        wiener(),
+        harary(),
+        hyper_wiener(),
+        tsz(),
+        *(variable_wiener(lam) for lam in (1, -1, 2, -2)),
+        gen_hyper_wiener(1),
+        gen_hyper_wiener(-1),
+        mult_wiener(),
+        diameter_index(),
+    ]
     rng = random.Random(60221023)
     for _ in range(1000):
         seq = distance_sequence(_random_connected(rng))
@@ -210,12 +224,15 @@ def test_criterion_6_index_identities(capsys):
             if abs(got - want) > 1e-9 * max(1.0, abs(want)):
                 failures.append("identity drift on %s" % seq.to_text())
                 break
-        exact = evaluate_exact(tsz(), seq)
-        if abs(evaluate(tsz(), seq) - float(exact)) > 1e-9 * max(1.0, float(exact)):
-            failures.append("tsz exact/float drift on %s" % seq.to_text())
+        # the float value is the double nearest the exact one
+        for defn in exact_indices:
+            if evaluate(defn, seq) != float(evaluate_exact(defn, seq)):
+                failures.append(
+                    "%s exact/float drift on %s" % (defn.display_name, seq.to_text())
+                )
     _verdict(
         capsys,
-        "criterion 6, index identities on 1000 seeded random graphs",
+        "criterion 6, index identities and exact floats on 1000 seeded random graphs",
         failures,
     )
 
@@ -312,4 +329,20 @@ def test_criterion_9_planar_search(capsys):
         full = {canonical_form(g) for g in enumerate_maximal_planar(n)}
         if not apo <= full:
             failures.append("order %d: stacked members missing from search space" % n)
-    _verdict(capsys, "criterion 9, planar triangulation search with coverage labels", failures)
+    # Apollonian networks past the flip closure's reach, with the cube of
+    # the path as the one equality witness
+    for n, count in ((9, 24), (10, 93), (11, 434)):
+        restricted = search_maximal_planar(n, mode="apollonian")
+        got = (
+            restricted.graphs_checked,
+            len(restricted.violations),
+            restricted.equality_witnesses,
+        )
+        if got != (count, 0, [canonical_form(path_power(n, 3))]):
+            failures.append("apollonian order %d: %r" % (n, got))
+    _verdict(
+        capsys,
+        "criterion 9, planar triangulation search with coverage labels, "
+        "Apollonian networks to order 11",
+        failures,
+    )

@@ -1,7 +1,9 @@
 """Constructed graph families and their frozen structural facts."""
 
+import networkx as nx
 import pytest
 
+from conftest import to_nx
 from wienerseq import (
     Dominance,
     canonical_form,
@@ -21,7 +23,6 @@ from wienerseq import (
     path_complete,
     path_power,
     star,
-    vertex_connectivity,
     vertex_distance_sequence,
 )
 from wienerseq.enumeration import enumerate_connected
@@ -83,8 +84,8 @@ def test_cycle_power_basics():
     assert cycle_power(6, 1) == cycle(6)
     assert cycle_power(8, 2).m == 16
     assert cycle_power(8, 4) == complete(8)
-    assert vertex_connectivity(cycle_power(6, 2)) == 4
-    assert vertex_connectivity(cycle_power(8, 2)) == 4
+    assert nx.node_connectivity(to_nx(cycle_power(6, 2))) == 4
+    assert nx.node_connectivity(to_nx(cycle_power(8, 2))) == 4
     with pytest.raises(ValueError):
         cycle_power(8, 0)
 

@@ -15,10 +15,8 @@ from wienerseq import (
     complete,
     cycle,
     degeneracy_check,
-    delete_vertex,
     distance_matrix,
     graph_power,
-    induced_subgraph,
     is_connected,
     is_cut_vertex,
     is_k_connected,
@@ -29,7 +27,6 @@ from wienerseq import (
     path_power,
     relabel,
     star,
-    vertex_connectivity,
     write_graph6,
 )
 
@@ -189,12 +186,6 @@ def test_is_connected_matches_reference(g):
     assert is_connected(g) == nx.is_connected(to_nx(g))
 
 
-@given(connected_graphs(min_n=2, max_n=7))
-@settings(deadline=None)
-def test_vertex_connectivity_matches_reference(g):
-    assert vertex_connectivity(g) == nx.node_connectivity(to_nx(g))
-
-
 @given(connected_graphs(min_n=2, max_n=8))
 def test_cut_vertices_match_reference(g):
     arts = set(nx.articulation_points(to_nx(g)))
@@ -204,7 +195,7 @@ def test_cut_vertices_match_reference(g):
 @given(connected_graphs(min_n=2, max_n=7))
 @settings(deadline=None)
 def test_k_connected_consistent_with_connectivity(g):
-    kappa = vertex_connectivity(g)
+    kappa = nx.node_connectivity(to_nx(g))
     for k in range(1, g.n + 1):
         assert is_k_connected(g, k) == (kappa >= k and g.n > k)
 
@@ -228,6 +219,17 @@ def test_degeneracy_check_examples(g, k, expected):
 @given(connected_graphs(min_n=2, max_n=9), st.integers(1, 3), st.integers(1, 3))
 def test_power_composition(g, j, k):
     assert graph_power(graph_power(g, j), k) == graph_power(g, j * k)
+
+
+@given(connected_graphs(max_n=9), st.integers(1, 4))
+def test_power_matches_reference(g, k):
+    assert graph_power(g, k) == from_nx(nx.power(to_nx(g), k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_power_of_disconnected_graph_raises(k):
+    with pytest.raises(DisconnectedGraphError):
+        graph_power(Graph(4, [(0, 1), (2, 3)]), k)
 
 
 def test_power_saturates_at_diameter():
@@ -267,15 +269,3 @@ def test_relabel_preserves_structure_and_inverts(pair):
     )
     inverse = tuple(order.index(v) for v in range(g.n))
     assert relabel(h, inverse) == g
-
-
-def test_delete_vertex_shifts_labels():
-    h = delete_vertex(cycle(5), 2)
-    assert h.n == 4
-    assert h.edges == ((0, 1), (0, 3), (2, 3))
-
-
-def test_induced_subgraph():
-    h = induced_subgraph(cycle(5), [1, 2, 3])
-    assert h.n == 3
-    assert h.edges == ((0, 1), (1, 2))

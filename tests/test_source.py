@@ -62,3 +62,42 @@ def test_package_exports_match_imports():
         for alias in node.names
     }
     assert imported == set(wienerseq.__all__) - {"__version__"}
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    # Names loaded anywhere in the tree, also inside quoted annotations.
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    read |= _names_read(ast.parse(sub.value, mode="eval"))
+    return read
+
+
+def test_no_unused_imports():
+    # Every name a module imports is read there, so a tracer seam cannot be
+    # kept alive by an import that nothing calls.  __init__.py imports to
+    # export, which test_package_exports_match_imports checks.
+    unused = []
+    for path in sorted(Path(wienerseq.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append("%s: %s" % (path.name, name))
+    assert not unused, "imported but never read: %s" % ", ".join(unused)

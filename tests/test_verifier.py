@@ -213,6 +213,8 @@ def test_maximal_planar_coverage_labels():
         lambda: search_maximal_planar(3),
         lambda: search_maximal_planar(10),
         lambda: search_maximal_planar(6, mode="bad"),
+        lambda: verify_deletion_bound(9),
+        lambda: search_maximal_planar(12, mode="apollonian"),
     ],
 )
 def test_domain_validation(call):
