@@ -7,15 +7,21 @@ of the package: a monotone index respects that order, and deleting a
 non-cut vertex v bounds the sequence by the merge of the remaining graph's
 sequence with the distance sequence of v.
 
-A distance sequence is counted from BFS layers, with no matrix: each pair
-is counted once, from its lower-labelled end, as the number of
-higher-labelled vertices in that end's layer at its distance.  Restricting
-the BFS to the vertex mask ``full & ~(1 << v)`` counts the pairs of g - v
-without building g - v, so the deletion bound is checked at every non-cut
-vertex of g from g's layer counts, one distance matrix of g (for the
-distances from v) and one layer count of g - v per vertex; the first BFS of
-that count fails exactly when v is a cut vertex.  At a single vertex v, the
-distances from v are the layer sizes of one BFS from v, with no matrix.
+A distance sequence is counted from BFS layers, with no matrix, as one
+count per distance: each pair is counted once, from its lower-labelled
+end, as the number of higher-labelled vertices in that end's layer at its
+distance.  Restricting the BFS to the vertex mask ``full & ~(1 << v)``
+counts the pairs of g - v without building g - v; the first BFS of that
+count fails exactly when v is a cut vertex.
+
+The deletion bound is checked on those per-distance counts, never on
+merged sequences: the bound's count at distance d is v's count plus
+g - v's count, the bound holds when at every distance t g has at least as
+many pairs at distance <= t as the bound has entries, and equality is
+equality of the two count vectors.  ``deletion_bounds`` counts g's pairs
+once and reads v's counts from row v of one distance matrix of g, so each
+non-cut vertex costs one layer count of g - v.  At a single vertex v,
+v's counts are the layer sizes of one BFS from v.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs;
 all comparisons and merges walk runs, never expanded entries.
@@ -30,7 +36,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from wienerseq.graphs import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     _layers,
     distance_matrix,
@@ -206,14 +211,11 @@ def merge(a: DistanceSequence, b: DistanceSequence) -> DistanceSequence:
     return DistanceSequence(out)
 
 
-def _row_sequence(dm: DistanceMatrix, v: int) -> DistanceSequence:
-    return DistanceSequence.from_entries(d for u, d in enumerate(dm.d[v]) if u != v)
-
-
-def _layer_sequence(g: Graph, allowed: int) -> DistanceSequence:
-    # Distance sequence of the subgraph of g induced by the vertex mask
-    # `allowed`.  `rest` holds the allowed vertices above the source; the
-    # last vertex has none, so its BFS is skipped.
+def _layer_counts(g: Graph, allowed: int) -> list[int]:
+    # Entry d - 1 is the number of pairs at distance d in the subgraph of g
+    # induced by the vertex mask `allowed`, for d = 1..n-1.  `rest` holds
+    # the allowed vertices above the source; the last vertex has none, so
+    # its BFS is skipped.
     counts = [0] * (g.n - 1)
     rest = allowed
     while rest & (rest - 1):
@@ -221,20 +223,31 @@ def _layer_sequence(g: Graph, allowed: int) -> DistanceSequence:
         rest ^= low
         for d, layer in enumerate(_layers(g.bits, low.bit_length() - 1, allowed)):
             counts[d] += (layer & rest).bit_count()
-    return DistanceSequence(zip(range(1, g.n), counts))
+    return counts
+
+
+def _vertex_counts(g: Graph, v: int) -> list[int]:
+    # Entry d - 1 is the number of vertices at distance d from v.
+    counts = [0] * (g.n - 1)
+    for d, layer in enumerate(_layers(g.bits, v, (1 << g.n) - 1)):
+        counts[d] = layer.bit_count()
+    return counts
+
+
+def _from_counts(counts: list[int]) -> DistanceSequence:
+    return DistanceSequence(zip(range(1, len(counts) + 1), counts))
 
 
 def distance_sequence(g: Graph) -> DistanceSequence:
     """Distance sequence of a connected graph; length n(n-1)/2."""
-    return _layer_sequence(g, (1 << g.n) - 1)
+    return _from_counts(_layer_counts(g, (1 << g.n) - 1))
 
 
 def vertex_distance_sequence(g: Graph, v: int) -> DistanceSequence:
     """Sorted distances from v to all other vertices; length n - 1."""
     if not (0 <= v < g.n):
         raise ValueError("vertex %r out of range" % (v,))
-    layers = _layers(g.bits, v, (1 << g.n) - 1)
-    return DistanceSequence((d, layer.bit_count()) for d, layer in enumerate(layers, 1))
+    return _from_counts(_vertex_counts(g, v))
 
 
 class DeletionBoundResult(NamedTuple):
@@ -255,33 +268,59 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     """
     if is_cut_vertex(g, v):
         raise ValueError("vertex %d is a cut vertex" % v)
-    return _deletion_bound(g, v, vertex_distance_sequence(g, v), distance_sequence(g))
+    # v's BFS runs first, so a disconnected g raises with the pair
+    # (v, lowest vertex unreached from v).
+    vcounts = _vertex_counts(g, v)
+    return _deletion_bound(g, v, _layer_counts(g, (1 << g.n) - 1), vcounts)
 
 
 def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
-    """``deletion_bound_check(g, v)`` at every non-cut vertex v, from g's
-    layer counts, one distance matrix of g for the distances from v, and a
-    layer count of g - v on the other vertices."""
+    """``deletion_bound_check(g, v)`` at every non-cut vertex v.
+
+    The bound is checked on per-distance counts: g's pair counts are
+    counted once, v's counts are read from row v of one distance matrix of
+    g, and g - v's pair counts come from layer counts on the other
+    vertices, whose first BFS fails exactly when v is a cut vertex.
+    """
     dm = distance_matrix(g)
-    seq = distance_sequence(g)
+    counts = _layer_counts(g, (1 << g.n) - 1)
+    distances = range(1, g.n)
     out = {}
     for v in range(g.n):
+        row = dm.d[v]
         try:
-            out[v] = _deletion_bound(g, v, _row_sequence(dm, v), seq)
+            out[v] = _deletion_bound(g, v, counts, [row.count(d) for d in distances])
         except DisconnectedGraphError:
             pass  # g - v is disconnected: v is a cut vertex
     return out
 
 
+def _bound_from_counts(
+    counts: list[int], vcounts: list[int], rest: list[int]
+) -> tuple[bool, bool]:
+    # (holds, equality) of the deletion bound on per-distance counts of
+    # equal length and equal total: g's pairs (counts), v's distances
+    # (vcounts) and g - v's pairs (rest).  Two sorted sequences of equal
+    # length satisfy a <= b coordinatewise exactly when, at every distance
+    # t, a has at least as many entries <= t as b.
+    bound = [a + b for a, b in zip(vcounts, rest)]
+    have = need = 0
+    for c, b in zip(counts, bound):
+        have += c
+        need += b
+        if have < need:
+            return False, False
+    return True, counts == bound
+
+
 def _deletion_bound(
-    g: Graph, v: int, vseq: DistanceSequence, seq: DistanceSequence
+    g: Graph, v: int, counts: list[int], vcounts: list[int]
 ) -> DeletionBoundResult:
-    # vseq holds the distances from v in g, seq is g's distance sequence.
+    # counts are g's pair counts per distance, vcounts v's distance counts.
     if g.n == 1:
         raise ValueError("cannot delete the only vertex")
     others = ((1 << g.n) - 1) & ~(1 << v)
-    rest = _layer_sequence(g, others)
-    rel = compare(seq, merge(rest, vseq))
+    holds, equality = _bound_from_counts(counts, vcounts, _layer_counts(g, others))
     # Neighbours x and y of v are within 2 in g - v when they are adjacent
     # or share a neighbour other than v.
     bits = g.bits
@@ -291,6 +330,4 @@ def _deletion_bound(
         for i, x in enumerate(nbrs)
         for y in nbrs[i + 1:]
     )
-    return DeletionBoundResult(
-        rel.dominated, rel.tag == Dominance.EQUAL, predicted, vseq
-    )
+    return DeletionBoundResult(holds, equality, predicted, _from_counts(vcounts))

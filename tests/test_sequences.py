@@ -2,7 +2,7 @@
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, to_nx
@@ -268,6 +268,43 @@ def test_deletion_bounds_match_networkx(g):
         assert res.equality == (whole == bound)
         assert res.predicted_equality == predicted
         assert list(res.vertex_sequence) == from_v
+
+
+@st.composite
+def count_triples(draw):
+    # Per-distance counts of g's pairs, v's distances and g - v's pairs, as
+    # _bound_from_counts takes them: any vectors of one length whose totals
+    # agree, so undominated and incomparable pairs occur too (a real graph
+    # never fails the bound).
+    size = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(0, 4), min_size=size, max_size=size)
+    vcounts, rest = draw(vector), draw(vector)
+    total = sum(vcounts) + sum(rest)
+    cuts = sorted(
+        draw(st.lists(st.integers(0, total), min_size=size - 1, max_size=size - 1))
+    )
+    counts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    return counts, vcounts, rest
+
+
+def _expand(counts):
+    return DistanceSequence.from_entries(
+        d for d, c in enumerate(counts, 1) for _ in range(c)
+    )
+
+
+@given(count_triples())
+@example(([2, 1], [1, 0], [1, 1]))  # equal
+@example(([3, 0], [1, 0], [1, 1]))  # strictly dominated
+@example(([1, 2], [1, 0], [1, 1]))  # greater
+@example(([1, 2, 0], [1, 0, 1], [1, 0, 0]))  # incomparable
+def test_bound_from_counts_matches_compare_of_the_merge(triple):
+    counts, vcounts, rest = triple
+    rel = compare(_expand(counts), merge(_expand(rest), _expand(vcounts)))
+    assert sequences._bound_from_counts(counts, vcounts, rest) == (
+        rel.dominated,
+        rel.tag == Dominance.EQUAL,
+    )
 
 
 def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):

@@ -17,8 +17,10 @@ from wienerseq import (
     distance_sequence,
     enumerate_connected,
     evaluate_exact,
+    is_cut_vertex,
     monotone_consistency,
     odd_caterpillar,
+    parse_graph6,
     path_complete,
     path_power,
     search_maximal_planar,
@@ -190,6 +192,31 @@ def test_deletion_suite_passes():
     for n in (2, 5):
         rep = verify_deletion_bound(n)
         assert rep.passed
+
+
+def test_deletion_suite_reports_failures(monkeypatch):
+    # Make g - v look one distance shorter (pairs at distance d >= 2 count
+    # at d - 1) while g keeps its own counts.  The bound then fails at some
+    # vertices, and equality fails wherever the predicate still predicts it.
+    real = sequences._layer_counts
+
+    def shorter(g, allowed):
+        counts = real(g, allowed)
+        if allowed == (1 << g.n) - 1 or len(counts) < 2:
+            return counts
+        return [counts[0] + counts[1]] + counts[2:] + [0]
+
+    monkeypatch.setattr(sequences, "_layer_counts", shorter)
+    reports = [verify_deletion_bound(5, shards=s) for s in (1, 4)]
+    assert reports[0].to_json(include_meta=False) == reports[1].to_json(
+        include_meta=False
+    )
+    violations = reports[0].violations
+    assert {v["kind"] for v in violations} == {"deletion_bound", "equality_predicate"}
+    for v in violations:
+        g = parse_graph6(v["graph6"])
+        assert 0 <= v["coordinate"] < g.n
+        assert not is_cut_vertex(g, v["coordinate"])
 
 
 def test_maximal_planar_coverage_labels():
