@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import wienerseq
 from wienerseq.enumeration import enumerate_class, parse_class_spec
@@ -44,24 +43,6 @@ class UsageError(Exception):
 
 class InputError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    families: list[str] = field(default_factory=list)
-    klass: str | None = None
-    suite: str | None = None
-    indices: list[str] = field(default_factory=list)
-    fmt: str | None = None
-    jobs: int = 1
-    shards: int = 1
-    max_n: int | None = None
-    out: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _default_jobs() -> int:
@@ -111,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="output format (default %s)" % formats[0])
 
     p = sub.add_parser("compute", help="distance sequence and index values of one graph")
+    p.set_defaults(handler=_cmd_compute)
     add_io(p, "text", "json", inputs=True)
     p.add_argument(
         "--index",
@@ -121,18 +103,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("compare", help="dominance comparison of two graphs")
+    p.set_defaults(handler=_cmd_compare)
     add_io(p, "text", "json", inputs=True)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
+    p.set_defaults(handler=_cmd_construct)
     add_io(p, "graph6", "edgelist", inputs=True)
 
     p = sub.add_parser("enumerate", help="stream a graph class as graph6 records")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("--class", dest="klass", required=True, metavar="SPEC",
                    help="class spec, e.g. connected:6 k_tree:8,2 odd_tree:10")
     p.add_argument("--max-n", type=int, dest="max_n")
     add_io(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", required=True, metavar="SPEC",
                    help="suite spec, e.g. order_size:6 connectivity:6,2 "
                    "k_degenerate:6,2[,k_tree] odd_trees:10 deletion:5")
@@ -142,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p, "json", "csv")
 
     p = sub.add_parser("explore", help="search maximal planar graphs for a counterexample")
+    p.set_defaults(handler=_cmd_explore)
     p.add_argument("--class", dest="klass", required=True, metavar="SPEC",
                    help="search spec: maximal_planar:n")
     p.add_argument("--apollonian-only", action="store_true",
@@ -200,11 +187,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _header(cfg: RunConfig) -> dict:
-    return {"version": wienerseq.__version__, "config": cfg.to_dict()}
+def _header(args: argparse.Namespace) -> dict:
+    config = {
+        "command": args.command,
+        "inputs": getattr(args, "input", []),
+        "families": getattr(args, "family", []),
+        "klass": getattr(args, "klass", None),
+        "suite": getattr(args, "suite", None),
+        "indices": getattr(args, "index", []),
+        "fmt": getattr(args, "fmt", None),
+        "jobs": args.jobs,
+        "shards": args.shards,
+        "max_n": getattr(args, "max_n", None),
+        "out": getattr(args, "out", None),
+    }
+    return {"version": wienerseq.__version__, "config": config}
 
 
-def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_compute(args: argparse.Namespace) -> int:
     graphs = _gather_graphs(args)
     if len(graphs) != 1:
         raise UsageError("compute expects exactly one --input or --family")
@@ -228,14 +228,14 @@ def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
         if defn.lam is not None:
             entry["lambda"] = defn.lam
         rows.append(entry)
-    if cfg.fmt == "json":
-        doc = _header(cfg) | {
+    if args.fmt == "json":
+        doc = _header(args) | {
             "n": g.n,
             "m": g.m,
             "distance_sequence": seq.to_pairs(),
             "indices": rows,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:
         lines = [
             "graph: n=%d m=%d" % (g.n, g.m),
@@ -249,11 +249,11 @@ def _cmd_compute(args: argparse.Namespace, cfg: RunConfig) -> int:
                 lines.append("%s = %s" % (shown, entry["exact_value"]))
             else:
                 lines.append("%s = %.12g" % (shown, entry["value"]))
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
-def _cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     graphs = _gather_graphs(args)
     if len(graphs) != 2:
         raise UsageError("compare expects exactly two graphs (--input/--family)")
@@ -262,15 +262,15 @@ def _cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
         rel = compare(a, b)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if cfg.fmt == "json":
-        doc = _header(cfg) | {
+    if args.fmt == "json":
+        doc = _header(args) | {
             "left": a.to_pairs(),
             "right": b.to_pairs(),
             "relation": rel.tag.value,
             "less_at": rel.less_at,
             "greater_at": rel.greater_at,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     else:
         lines = [
             "left:  %s" % a.to_text(),
@@ -281,20 +281,20 @@ def _cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
             lines.append("first strictly smaller coordinate: %d" % rel.less_at)
         if rel.greater_at is not None:
             lines.append("first strictly larger coordinate: %d" % rel.greater_at)
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_VIOLATION if rel.tag == Dominance.INCOMPARABLE else EXIT_OK
 
 
-def _cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     graphs = _gather_graphs(args)
     if len(graphs) != 1 or args.input:
         raise UsageError("construct expects exactly one --family")
     g = graphs[0]
-    if cfg.fmt == "edgelist":
+    if args.fmt == "edgelist":
         lines = [str(g.n)] + ["%d %d" % e for e in g.edges]
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit(write_graph6(g), cfg.out)
+        _emit(write_graph6(g), args.out)
     return EXIT_OK
 
 
@@ -311,12 +311,12 @@ def _check_max_n(n: int, max_n: int | None) -> None:
         raise UsageError("order %d exceeds --max-n %d" % (n, max_n))
 
 
-def _cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         name, class_args = parse_class_spec(args.klass)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_max_n(class_args[0], cfg.max_n)
+    _check_max_n(class_args[0], args.max_n)
     start = time.monotonic()
     try:
         records = [write_graph6(g) for g in enumerate_class(name, class_args)]
@@ -331,8 +331,8 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> int:
         "count": len(records),
         "elapsed": elapsed,
     }
-    if cfg.out:
-        _emit(stream, cfg.out)
+    if args.out:
+        _emit(stream, args.out)
         _emit(json.dumps(summary, indent=2, sort_keys=True), None)
     else:
         if records:
@@ -341,24 +341,24 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, kwargs: dict, cfg: RunConfig):
+def _run_suite(name: str, kwargs: dict, args: argparse.Namespace):
     try:
-        return SUITES[name].verify(shards=cfg.shards, jobs=cfg.jobs, **kwargs)
+        return SUITES[name].verify(shards=args.shards, jobs=args.jobs, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     # maximal_planar runs through explore, not verify
     verified = {k: v for k, v in SUITES.items() if k != "maximal_planar"}
     name, kwargs = _parse_suite_spec(args.suite, verified)
-    _check_max_n(kwargs["n"], cfg.max_n)
-    report = _run_suite(name, kwargs, cfg)
-    doc = report.to_dict() | _header(cfg)
-    if cfg.fmt == "csv":
-        _emit(csv_summary([report]), cfg.out)
+    _check_max_n(kwargs["n"], args.max_n)
+    report = _run_suite(name, kwargs, args)
+    doc = report.to_dict() | _header(args)
+    if args.fmt == "csv":
+        _emit(csv_summary([report]), args.out)
     else:
-        _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     status = "PASS" if report.passed else "FAIL"
     sys.stderr.write(
         "%s %s: %d graphs, %d violations, %d equality witnesses (%.2fs)\n"
@@ -374,16 +374,16 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_explore(args: argparse.Namespace) -> int:
     explored = {"maximal_planar": SUITES["maximal_planar"]}
     name, kwargs = _parse_suite_spec(args.klass, explored)
     n = kwargs["n"]
-    _check_max_n(n, cfg.max_n)
+    _check_max_n(n, args.max_n)
     kwargs["mode"] = "apollonian" if args.apollonian_only else "flip"
-    report = _run_suite(name, kwargs, cfg)
-    doc = report.to_dict() | _header(cfg)
-    if cfg.out:
-        _emit(json.dumps(doc, indent=2, sort_keys=True), cfg.out)
+    report = _run_suite(name, kwargs, args)
+    doc = report.to_dict() | _header(args)
+    if args.out:
+        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
     counterexamples = [
         v["graph6"] for v in report.violations if v["kind"] == "dominance"
     ]
@@ -400,38 +400,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        jobs = getattr(args, "jobs", None)
-        if jobs is None:
-            jobs = _default_jobs()
-        elif jobs < 1:
-            raise UsageError("--jobs must be positive, got %d" % jobs)
-        shards = getattr(args, "shards", None)
-        if shards is None:
-            shards = max(jobs, 1)
-        elif shards < 1:
-            raise UsageError("--shards must be positive, got %d" % shards)
-        cfg = RunConfig(
-            command=args.command,
-            inputs=list(getattr(args, "input", [])),
-            families=list(getattr(args, "family", [])),
-            klass=getattr(args, "klass", None),
-            suite=getattr(args, "suite", None),
-            indices=list(getattr(args, "index", [])),
-            fmt=getattr(args, "fmt", None),
-            jobs=jobs,
-            shards=shards,
-            max_n=getattr(args, "max_n", None),
-            out=getattr(args, "out", None),
-        )
-        handler = {
-            "compute": _cmd_compute,
-            "compare": _cmd_compare,
-            "construct": _cmd_construct,
-            "enumerate": _cmd_enumerate,
-            "verify": _cmd_verify,
-            "explore": _cmd_explore,
-        }[args.command]
-        return handler(args, cfg)
+        if getattr(args, "jobs", None) is None:
+            args.jobs = _default_jobs()
+        elif args.jobs < 1:
+            raise UsageError("--jobs must be positive, got %d" % args.jobs)
+        if getattr(args, "shards", None) is None:
+            args.shards = args.jobs
+        elif args.shards < 1:
+            raise UsageError("--shards must be positive, got %d" % args.shards)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE

@@ -6,10 +6,9 @@ as one bitmask per vertex, which keeps the breadth-first traversals used
 throughout the package cheap at the small orders this library targets.
 
 The module holds the ``Graph`` type; one layered BFS inside a vertex mask
-(``_layers``) for distances, graph powers and layer counts, and its
-reach-only form (``_reach_mask``) for connectivity, cut vertices and
-k-connectivity; the degeneracy and odd-tree predicates; relabeling; and
-the graph6 and edge-list codecs.
+(``_layers``) for distances, graph powers, layer counts, connectivity, cut
+vertices and k-connectivity; the degeneracy and odd-tree predicates;
+relabeling; and the graph6 and edge-list codecs.
 
 graph6 bit layout, which round-trips bit-exactly here: a record is
 ``<header><payload>``.  The header is ``chr(n + 63)`` for n <= 62,
@@ -126,11 +125,12 @@ class DistanceMatrix:
         return max(self.ecc)
 
 
-def _layers(bits: tuple[int, ...], src: int, allowed: int) -> Iterator[int]:
-    # BFS inside the vertex set `allowed` (bitmask, containing src): yields
-    # the vertices at distance 1, 2, ... from src as one mask per distance.
-    # Raises DisconnectedGraphError((src, lowest unreached)) at the end when
-    # some vertex of `allowed` was never reached.
+def _layers(bits: tuple[int, ...], src: int, allowed: int) -> list[int]:
+    # BFS inside the vertex set `allowed` (bitmask, containing src): the
+    # vertices at distance 1, 2, ... from src as one mask per distance.
+    # Raises DisconnectedGraphError((src, lowest unreached)) when some
+    # vertex of `allowed` is never reached.
+    layers = []
     seen = 1 << src
     frontier = seen
     while True:
@@ -144,10 +144,11 @@ def _layers(bits: tuple[int, ...], src: int, allowed: int) -> Iterator[int]:
         if not frontier:
             break
         seen |= frontier
-        yield frontier
+        layers.append(frontier)
     missing = allowed & ~seen
     if missing:
         raise DisconnectedGraphError((src, (missing & -missing).bit_length() - 1))
+    return layers
 
 
 def _bfs_distances(g: Graph, src: int) -> tuple[int, ...]:
@@ -167,28 +168,14 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     )
 
 
-def _reach_mask(bits: tuple[int, ...], start: int, allowed: int) -> int:
-    # Closure of `start` inside the vertex set `allowed` (bitmask).
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        spread = 0
-        m = frontier
-        while m:
-            low = m & -m
-            spread |= bits[low.bit_length() - 1]
-            m ^= low
-        frontier = spread & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
 def _connected_without(g: Graph, removed: int) -> bool:
     allowed = ((1 << g.n) - 1) & ~removed
-    if allowed == 0:
-        return True
-    start = (allowed & -allowed).bit_length() - 1
-    return _reach_mask(g.bits, start, allowed) == allowed
+    if allowed:
+        try:
+            _layers(g.bits, (allowed & -allowed).bit_length() - 1, allowed)
+        except DisconnectedGraphError:
+            return False
+    return True
 
 
 def is_connected(g: Graph) -> bool:
@@ -198,8 +185,6 @@ def is_connected(g: Graph) -> bool:
 def is_cut_vertex(g: Graph, v: int) -> bool:
     if not (0 <= v < g.n):
         raise ValueError("vertex %r out of range" % (v,))
-    if g.n == 1:
-        return False
     return not _connected_without(g, 1 << v)
 
 
@@ -283,9 +268,8 @@ def graph_power(g: Graph, k: int) -> Graph:
     full = (1 << g.n) - 1
     edges = []
     for u in range(g.n):
-        # Drain the whole BFS, so a disconnected input raises for any k.
         near = 0
-        for layer in list(_layers(g.bits, u, full))[:k]:
+        for layer in _layers(g.bits, u, full)[:k]:
             near |= layer
         edges.extend((u, v) for v in _iter_bits(near) if v > u)
     return g if k == 1 else Graph(g.n, edges)
@@ -293,6 +277,8 @@ def graph_power(g: Graph, k: int) -> Graph:
 
 def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
     """Graph with new label i standing for old vertex order[i]."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order %r is not a permutation of 0..%d" % (order, g.n - 1))
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i

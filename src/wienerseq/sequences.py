@@ -29,7 +29,6 @@ all comparisons and merges walk runs, never expanded entries.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -46,7 +45,7 @@ from wienerseq.graphs import (
 class DistanceSequence:
     """Nondecreasing sequence of positive integers, run-length compressed."""
 
-    __slots__ = ("runs", "_cum")
+    __slots__ = ("runs",)
 
     def __init__(self, runs: Iterable[tuple[int, int]]):
         merged: list[tuple[int, int]] = []
@@ -64,12 +63,6 @@ class DistanceSequence:
             else:
                 merged.append((value, count))
         self.runs = tuple(merged)
-        cum = []
-        total = 0
-        for _, count in merged:
-            total += count
-            cum.append(total)
-        self._cum = tuple(cum)
 
     @classmethod
     def from_entries(cls, entries: Iterable[int]) -> "DistanceSequence":
@@ -80,14 +73,16 @@ class DistanceSequence:
         return cls(sorted(counts.items()))
 
     def __len__(self) -> int:
-        return self._cum[-1] if self._cum else 0
+        return sum(count for _, count in self.runs)
 
     def __getitem__(self, i: int) -> int:
-        if i < 0:
-            i += len(self)
-        if not (0 <= i < len(self)):
-            raise IndexError(i)
-        return self.runs[bisect.bisect_right(self._cum, i)][0]
+        j = i + len(self) if i < 0 else i
+        if j >= 0:
+            for value, count in self.runs:
+                if j < count:
+                    return value
+                j -= count
+        raise IndexError(i)
 
     def __iter__(self) -> Iterator[int]:
         for value, count in self.runs:
@@ -254,7 +249,6 @@ class DeletionBoundResult(NamedTuple):
     holds: bool
     equality: bool
     predicted_equality: bool
-    vertex_sequence: DistanceSequence
 
 
 def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
@@ -263,8 +257,7 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     The bound states that the distance sequence of g is coordinatewise at
     most the merge of the distance sequence of g - v with the sorted
     distances from v.  Equality is predicted exactly when every two
-    neighbors of v are at distance at most 2 in g - v.  The result also
-    carries the sorted distances from v.
+    neighbors of v are at distance at most 2 in g - v.
     """
     if is_cut_vertex(g, v):
         raise ValueError("vertex %d is a cut vertex" % v)
@@ -330,4 +323,4 @@ def _deletion_bound(
         for i, x in enumerate(nbrs)
         for y in nbrs[i + 1:]
     )
-    return DeletionBoundResult(holds, equality, predicted, _from_counts(vcounts))
+    return DeletionBoundResult(holds, equality, predicted)

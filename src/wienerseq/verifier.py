@@ -71,6 +71,7 @@ from wienerseq.sequences import (
     deletion_bound_check,
     deletion_bounds,
     distance_sequence,
+    vertex_distance_sequence,
 )
 
 
@@ -242,7 +243,7 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
                 _violation(record, "deletion_bound", coordinate=v)
             )
         if k < n:
-            vseq = res.vertex_sequence
+            vseq = vertex_distance_sequence(g, v)
             vrel = compare(vseq, end_vertex_sequence_path_power(n, k))
             if not vrel.dominated:
                 coord = vrel.greater_at

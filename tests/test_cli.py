@@ -45,7 +45,8 @@ def test_compute_text_output(capsys):
     assert "harary = 28/3" in out
 
 
-def test_compute_json_output(capsys):
+def test_compute_json_output(capsys, monkeypatch):
+    monkeypatch.delenv("WIENERSEQ_JOBS", raising=False)
     code = main(
         [
             "compute",
@@ -60,8 +61,19 @@ def test_compute_json_output(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == wienerseq.__version__
-    assert doc["config"]["command"] == "compute"
-    assert doc["config"]["families"] == ["pk:6,8"]
+    assert doc["config"] == {
+        "command": "compute",
+        "inputs": [],
+        "families": ["pk:6,8"],
+        "klass": None,
+        "suite": None,
+        "indices": ["variable_wiener:2"],
+        "fmt": "json",
+        "jobs": 1,
+        "shards": 1,
+        "max_n": None,
+        "out": None,
+    }
     assert doc["n"] == 6 and doc["m"] == 8
     (entry,) = doc["indices"]
     assert entry["name"] == "variable_wiener" and entry["lambda"] == 2.0

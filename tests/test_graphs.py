@@ -269,3 +269,9 @@ def test_relabel_preserves_structure_and_inverts(pair):
     )
     inverse = tuple(order.index(v) for v in range(g.n))
     assert relabel(h, inverse) == g
+
+
+@pytest.mark.parametrize("order", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, -1)])
+def test_relabel_rejects_a_non_permutation(order):
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel(path(3), order)

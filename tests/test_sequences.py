@@ -54,6 +54,10 @@ def test_entries_sorted_and_indexable(values):
     assert list(seq) == expected
     assert len(seq) == len(expected)
     assert [seq[i] for i in range(len(seq))] == expected
+    assert [seq[-i] for i in range(1, len(seq) + 1)] == expected[::-1]
+    for i in (len(seq), -len(seq) - 1):
+        with pytest.raises(IndexError):
+            seq[i]
     if expected:
         assert seq.max_value == expected[-1]
 
@@ -267,7 +271,7 @@ def test_deletion_bounds_match_networkx(g):
         assert res.holds == all(a <= b for a, b in zip(whole, bound))
         assert res.equality == (whole == bound)
         assert res.predicted_equality == predicted
-        assert list(res.vertex_sequence) == from_v
+        assert list(vertex_distance_sequence(g, v)) == from_v
 
 
 @st.composite
