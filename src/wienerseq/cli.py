@@ -45,19 +45,6 @@ class InputError(Exception):
     pass
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("WIENERSEQ_JOBS")
-    if env is None:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise UsageError("WIENERSEQ_JOBS must be an integer, got %r" % env) from None
-    if jobs < 1:
-        raise UsageError("WIENERSEQ_JOBS must be positive, got %d" % jobs)
-    return jobs
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wienerseq",
@@ -114,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("--class", dest="klass", required=True, metavar="SPEC",
                    help="class spec, e.g. connected:6 k_tree:8,2 odd_tree:10")
-    p.add_argument("--max-n", type=int, dest="max_n")
     add_io(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -122,9 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, metavar="SPEC",
                    help="suite spec, e.g. order_size:6 connectivity:6,2 "
                    "k_degenerate:6,2[,k_tree] odd_trees:10 deletion:5")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--max-n", type=int, dest="max_n")
+    p.add_argument("--jobs", type=int, default=1)
     add_io(p, "json", "csv")
 
     p = sub.add_parser("explore", help="search maximal planar graphs for a counterexample")
@@ -133,9 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="search spec: maximal_planar:n")
     p.add_argument("--apollonian-only", action="store_true",
                    help="restrict to planar 3-trees (partial coverage)")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None)
-    p.add_argument("--max-n", type=int, dest="max_n")
+    p.add_argument("--jobs", type=int, default=1)
     add_io(p)
     return parser
 
@@ -196,9 +178,7 @@ def _header(args: argparse.Namespace) -> dict:
         "suite": getattr(args, "suite", None),
         "indices": getattr(args, "index", []),
         "fmt": getattr(args, "fmt", None),
-        "jobs": args.jobs,
-        "shards": args.shards,
-        "max_n": getattr(args, "max_n", None),
+        "jobs": getattr(args, "jobs", 1),
         "out": getattr(args, "out", None),
     }
     return {"version": wienerseq.__version__, "config": config}
@@ -306,17 +286,11 @@ def _parse_suite_spec(spec: str, table: dict) -> tuple[str, dict]:
     return name, dict(zip(table[name].args, values))
 
 
-def _check_max_n(n: int, max_n: int | None) -> None:
-    if max_n is not None and n > max_n:
-        raise UsageError("order %d exceeds --max-n %d" % (n, max_n))
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         name, class_args = parse_class_spec(args.klass)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_max_n(class_args[0], args.max_n)
     start = time.monotonic()
     try:
         records = [write_graph6(g) for g in enumerate_class(name, class_args)]
@@ -343,7 +317,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _run_suite(name: str, kwargs: dict, args: argparse.Namespace):
     try:
-        return SUITES[name].verify(shards=args.shards, jobs=args.jobs, **kwargs)
+        return SUITES[name].verify(jobs=args.jobs, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -352,7 +326,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # maximal_planar runs through explore, not verify
     verified = {k: v for k, v in SUITES.items() if k != "maximal_planar"}
     name, kwargs = _parse_suite_spec(args.suite, verified)
-    _check_max_n(kwargs["n"], args.max_n)
     report = _run_suite(name, kwargs, args)
     doc = report.to_dict() | _header(args)
     if args.fmt == "csv":
@@ -378,7 +351,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     explored = {"maximal_planar": SUITES["maximal_planar"]}
     name, kwargs = _parse_suite_spec(args.klass, explored)
     n = kwargs["n"]
-    _check_max_n(n, args.max_n)
     kwargs["mode"] = "apollonian" if args.apollonian_only else "flip"
     report = _run_suite(name, kwargs, args)
     doc = report.to_dict() | _header(args)
@@ -400,14 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", None) is None:
-            args.jobs = _default_jobs()
-        elif args.jobs < 1:
-            raise UsageError("--jobs must be positive, got %d" % args.jobs)
-        if getattr(args, "shards", None) is None:
-            args.shards = args.jobs
-        elif args.shards < 1:
-            raise UsageError("--shards must be positive, got %d" % args.shards)
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)

@@ -38,7 +38,6 @@ from wienerseq.graphs import (
     Graph,
     _layers,
     distance_matrix,
-    is_cut_vertex,
 )
 
 
@@ -259,12 +258,18 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     distances from v.  Equality is predicted exactly when every two
     neighbors of v are at distance at most 2 in g - v.
     """
-    if is_cut_vertex(g, v):
-        raise ValueError("vertex %d is a cut vertex" % v)
+    if not (0 <= v < g.n):
+        raise ValueError("vertex %r out of range" % (v,))
     # v's BFS runs first, so a disconnected g raises with the pair
-    # (v, lowest vertex unreached from v).
+    # (v, lowest vertex unreached from v).  g is then connected, so the
+    # only BFS that can fail later is g - v's first one, exactly when v is
+    # a cut vertex.
     vcounts = _vertex_counts(g, v)
-    return _deletion_bound(g, v, _layer_counts(g, (1 << g.n) - 1), vcounts)
+    counts = _layer_counts(g, (1 << g.n) - 1)
+    try:
+        return _deletion_bound(g, v, counts, vcounts)
+    except DisconnectedGraphError:
+        raise ValueError("vertex %d is a cut vertex" % v) from None
 
 
 def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:

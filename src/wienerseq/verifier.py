@@ -3,10 +3,10 @@
 Each suite enumerates a class, compares every member's distance sequence
 against the extremal family for that class, re-checks the index
 consequences with exact arithmetic, and emits a deterministic report.
-Work is split into shards by position in the enumeration stream; shard
-results merge associatively (counts add, violation and witness lists are
-sorted), so reports are identical for any shard count and any worker pool
-size.
+A run with ``jobs`` workers splits the members into ``jobs`` shards by
+position in the enumeration stream; shard results merge associatively
+(counts add, violation and witness lists are sorted), so reports are
+identical for any number of jobs.
 
 The comparison with the extremal sequence and the exact index battery
 depend only on the pair (sequence, extremal sequence), and many members of
@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from wienerseq.enumeration import (
     canonical_graph,
@@ -304,20 +304,16 @@ def _violation_sort_key(v: dict) -> str:
 
 
 def _run(
-    suite: str,
-    params: dict,
-    records: list[str],
-    shards: int,
-    jobs: int,
+    suite: str, params: dict, graphs: Iterable[Graph], jobs: int
 ) -> VerificationReport:
+    if jobs < 1:
+        raise ValueError("job count must be positive, got %r" % (jobs,))
+    # elapsed_s times the check phase only, not enumeration or encoding
+    records = [write_graph6(g) for g in graphs]
     start = time.monotonic()
-    if shards < 1:
-        raise ValueError("shard count must be positive")
-    payloads = [
-        (suite, params, records[i::shards]) for i in range(shards)
-    ]
-    if jobs > 1 and shards > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, shards)) as pool:
+    payloads = [(suite, params, records[i::jobs]) for i in range(jobs)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_check_shard, payloads))
     else:
         parts = [_check_shard(p) for p in payloads]
@@ -337,20 +333,17 @@ def _run(
         violations=violations,
         equality_witnesses=witnesses,
         elapsed_s=time.monotonic() - start,
-        shards=shards,
+        shards=jobs,
     )
 
 
-def verify_order_size(n: int, shards: int = 1, jobs: int = 1) -> VerificationReport:
+def verify_order_size(n: int, jobs: int = 1) -> VerificationReport:
     """Every connected graph of order n (2..8) against the path-complete
     graph of its size."""
-    records = [write_graph6(g) for g in enumerate_connected(n)]
-    return _run("order_size", {"n": n}, records, shards, jobs)
+    return _run("order_size", {"n": n}, enumerate_connected(n), jobs)
 
 
-def verify_connectivity(
-    n: int, kappa: int, shards: int = 1, jobs: int = 1
-) -> VerificationReport:
+def verify_connectivity(n: int, kappa: int, jobs: int = 1) -> VerificationReport:
     """Every kappa-connected graph of order n against the cycle power
     C_n^(kappa/2); for kappa = 2 the equality class must be exactly the
     cycle."""
@@ -360,8 +353,12 @@ def verify_connectivity(
         )
     if n < kappa + 1:
         raise ValueError("no %d-connected graphs of order %d" % (kappa, n))
-    records = [write_graph6(g) for g in enumerate_k_connected(n, kappa)]
-    report = _run("connectivity", {"n": n, "kappa": kappa}, records, shards, jobs)
+    report = _run(
+        "connectivity",
+        {"n": n, "kappa": kappa},
+        enumerate_k_connected(n, kappa),
+        jobs,
+    )
     if kappa == 2:
         expected = {write_graph6(canonical_graph(cycle(n)))}
         actual = set(report.equality_witnesses)
@@ -378,45 +375,33 @@ def verify_connectivity(
 
 
 def verify_k_degenerate(
-    n: int,
-    k: int,
-    klass: str = "maximal_k_degenerate",
-    shards: int = 1,
-    jobs: int = 1,
+    n: int, k: int, klass: str = "maximal_k_degenerate", jobs: int = 1
 ) -> VerificationReport:
     """Maximal k-degenerate graphs (or k-trees) of order n against the path
     power P_n^k, with the k-connectivity side check and a re-derivation of
     the bound through a degree-k non-cut vertex."""
     if klass == "maximal_k_degenerate":
-        records = [write_graph6(g) for g in enumerate_maximal_k_degenerate(n, k)]
+        graphs = enumerate_maximal_k_degenerate(n, k)
     elif klass == "k_tree":
-        records = [write_graph6(g) for g in enumerate_k_trees(n, k)]
+        graphs = enumerate_k_trees(n, k)
     else:
         raise ValueError("class must be 'maximal_k_degenerate' or 'k_tree'")
-    return _run(
-        "k_degenerate",
-        {"n": n, "k": k, "class": klass},
-        records,
-        shards,
-        jobs,
-    )
+    return _run("k_degenerate", {"n": n, "k": k, "class": klass}, graphs, jobs)
 
 
-def verify_odd_trees(n: int, shards: int = 1, jobs: int = 1) -> VerificationReport:
+def verify_odd_trees(n: int, jobs: int = 1) -> VerificationReport:
     """Odd trees of even order n against the odd caterpillar."""
-    records = [write_graph6(g) for g in enumerate_odd_trees(n)]
-    return _run("odd_trees", {"n": n}, records, shards, jobs)
+    return _run("odd_trees", {"n": n}, enumerate_odd_trees(n), jobs)
 
 
-def verify_deletion_bound(n: int, shards: int = 1, jobs: int = 1) -> VerificationReport:
+def verify_deletion_bound(n: int, jobs: int = 1) -> VerificationReport:
     """The vertex deletion bound and its equality predicate at every
     non-cut vertex of every connected graph of order n (2..8)."""
-    records = [write_graph6(g) for g in enumerate_connected(n)]
-    return _run("deletion", {"n": n}, records, shards, jobs)
+    return _run("deletion", {"n": n}, enumerate_connected(n), jobs)
 
 
 def search_maximal_planar(
-    n: int, mode: str = "flip", shards: int = 1, jobs: int = 1
+    n: int, mode: str = "flip", jobs: int = 1
 ) -> VerificationReport:
     """Best-effort search for a maximal planar graph whose distance
     sequence is not dominated by the cube of the path.
@@ -426,14 +411,12 @@ def search_maximal_planar(
     planar 3-trees (coverage "partial", orders 3..11).
     """
     if mode == "apollonian":
-        records = [write_graph6(g) for g in enumerate_apollonian(n)]
-        coverage = "partial"
+        graphs, coverage = enumerate_apollonian(n), "partial"
     elif mode == "flip":
-        records = [write_graph6(g) for g in enumerate_maximal_planar(n)]
-        coverage = "complete"
+        graphs, coverage = enumerate_maximal_planar(n), "complete"
     else:
         raise ValueError("mode must be 'flip' or 'apollonian'")
-    report = _run("maximal_planar", {"n": n, "mode": mode}, records, shards, jobs)
+    report = _run("maximal_planar", {"n": n, "mode": mode}, graphs, jobs)
     report.coverage = coverage
     return report
 

@@ -45,8 +45,7 @@ def test_compute_text_output(capsys):
     assert "harary = 28/3" in out
 
 
-def test_compute_json_output(capsys, monkeypatch):
-    monkeypatch.delenv("WIENERSEQ_JOBS", raising=False)
+def test_compute_json_output(capsys):
     code = main(
         [
             "compute",
@@ -70,8 +69,6 @@ def test_compute_json_output(capsys, monkeypatch):
         "indices": ["variable_wiener:2"],
         "fmt": "json",
         "jobs": 1,
-        "shards": 1,
-        "max_n": None,
         "out": None,
     }
     assert doc["n"] == 6 and doc["m"] == 8
@@ -200,10 +197,6 @@ def test_enumerate_to_stdout(capsys):
     assert json.loads(captured.err)["count"] == 6
 
 
-def test_enumerate_max_n_guard(capsys):
-    assert main(["enumerate", "--class", "connected:7", "--max-n", "6"]) == 2
-
-
 def test_enumerate_unknown_class(capsys):
     for spec in ("nope:5", "connected", "k_tree:8", "k_tree:8,2,1", "connected:x",
                  "k_tree:8,2,", "connected:5,-3", "connected:5,99",
@@ -235,15 +228,15 @@ def test_verify_csv(capsys):
 def test_verify_reports_agree_across_sharding(tmp_path):
     keep = ("suite", "params", "graphs_checked", "violations", "equality_witnesses")
     docs = []
-    for i, shards in enumerate(("1", "5")):
+    for i, jobs in enumerate(("1", "5")):
         target = tmp_path / ("r%d.json" % i)
         code = main(
             [
                 "verify",
                 "--suite",
                 "connectivity:6,2",
-                "--shards",
-                shards,
+                "--jobs",
+                jobs,
                 "--out",
                 str(target),
             ]
@@ -316,6 +309,11 @@ def test_bad_spec_or_input_exit_code(argv, code, capsys):
         ["enumerate", "--class", "connected:3", "--format", "json"],
         ["explore", "--class", "maximal_planar:4", "--format", "json"],
         ["verify", "--suite", "deletion:3", "--seed", "1"],
+        ["verify", "--suite", "deletion:3", "--shards", "2"],
+        ["explore", "--class", "maximal_planar:4", "--shards", "2"],
+        ["enumerate", "--class", "connected:3", "--max-n", "6"],
+        ["verify", "--suite", "deletion:3", "--max-n", "6"],
+        ["explore", "--class", "maximal_planar:4", "--max-n", "6"],
     ],
 )
 def test_unsupported_option_exits_two(argv, capsys):
@@ -324,25 +322,8 @@ def test_unsupported_option_exits_two(argv, capsys):
     assert exc.value.code == 2
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("WIENERSEQ_JOBS", "3")
-    code = main(["verify", "--suite", "deletion:3", "--format", "csv"])
-    captured = capsys.readouterr()
-    assert code == 0
-    # jobs default from the environment shows up as the shard count
-    assert captured.out.splitlines()[1].rstrip().endswith(",3")
-
-
-def test_jobs_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("WIENERSEQ_JOBS", "zero")
-    assert main(["verify", "--suite", "deletion:3"]) == 2
-    monkeypatch.setenv("WIENERSEQ_JOBS", "-2")
-    assert main(["verify", "--suite", "deletion:3"]) == 2
-
-
 def test_jobs_flag_validation(capsys):
     assert main(["verify", "--suite", "deletion:3", "--jobs", "0"]) == 2
-    assert main(["verify", "--suite", "deletion:3", "--shards", "0"]) == 2
 
 
 @st.composite

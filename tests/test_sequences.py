@@ -217,10 +217,12 @@ def test_deletion_bound_on_edge():
 
 
 def test_deletion_bound_rejects_cut_vertex_and_bad_label():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cut vertex"):
         deletion_bound_check(path(3), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         deletion_bound_check(path(3), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        deletion_bound_check(path(3), -1)
     with pytest.raises(ValueError):
         deletion_bounds(Graph(1))
     with pytest.raises(ValueError):

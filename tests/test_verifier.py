@@ -1,5 +1,6 @@
 """Verification suites: exhaustive dominance checks with sharded execution."""
 
+import inspect
 import json
 
 import pytest
@@ -168,8 +169,10 @@ def test_violations_match_a_memo_free_reference(monkeypatch):
     want = _memo_free_report(6, lambda g: complete(g.n))
     assert len(want.violations) == 111
     assert want.equality_witnesses == [write_graph6(complete(6))]
-    for shards in (1, 4):
-        rep = verify_order_size(6, shards=shards)
+    # jobs=4 runs a process pool, whose workers see the patched SUITES
+    # because they are forked from this process
+    for jobs in (1, 4):
+        rep = verify_order_size(6, jobs=jobs)
         assert rep.to_json(include_meta=False) == want.to_json(include_meta=False)
     # graphs that share a sequence each get a violation under their own record
     by_seq: dict = {}
@@ -207,7 +210,8 @@ def test_deletion_suite_reports_failures(monkeypatch):
         return [counts[0] + counts[1]] + counts[2:] + [0]
 
     monkeypatch.setattr(sequences, "_layer_counts", shorter)
-    reports = [verify_deletion_bound(5, shards=s) for s in (1, 4)]
+    # the forked pool workers of jobs=4 inherit the patched _layer_counts
+    reports = [verify_deletion_bound(5, jobs=j) for j in (1, 4)]
     assert reports[0].to_json(include_meta=False) == reports[1].to_json(
         include_meta=False
     )
@@ -242,6 +246,7 @@ def test_maximal_planar_coverage_labels():
         lambda: search_maximal_planar(6, mode="bad"),
         lambda: verify_deletion_bound(9),
         lambda: search_maximal_planar(12, mode="apollonian"),
+        lambda: verify_order_size(4, jobs=0),
     ],
 )
 def test_domain_validation(call):
@@ -275,14 +280,23 @@ def test_report_json_round_trip():
 
 def test_reports_identical_across_sharding():
     base = verify_order_size(5).to_json(include_meta=False)
-    assert verify_order_size(5, shards=7).to_json(include_meta=False) == base
-    assert verify_order_size(5, shards=3, jobs=3).to_json(include_meta=False) == base
+    assert verify_order_size(5, jobs=7).to_json(include_meta=False) == base
+    assert verify_order_size(5, jobs=3).to_json(include_meta=False) == base
 
 
 def test_reports_identical_across_process_pool():
     base = verify_connectivity(6, 2).to_json(include_meta=False)
-    pooled = verify_connectivity(6, 2, shards=4, jobs=2).to_json(include_meta=False)
-    assert pooled == base
+    pooled = verify_connectivity(6, 2, jobs=4)
+    assert pooled.to_json(include_meta=False) == base
+    # one shard per job
+    assert pooled.to_dict()["shards"] == 4
+
+
+def test_suite_spec_arguments_are_runner_parameters():
+    # the CLI calls SUITES[name].verify(jobs=..., **spec arguments)
+    for name, entry in SUITES.items():
+        params = inspect.signature(entry.verify).parameters
+        assert set(entry.args) | {"jobs"} <= set(params), name
 
 
 def test_passed_reflects_violations():
