@@ -14,7 +14,8 @@ appends its adjacency column toward the already placed prefix, so
 candidate orderings are pruned as soon as a column falls below the best
 known one.  Twin vertices (equal open or closed neighborhoods) are
 interchangeable by an automorphism, so they share a cell and only one
-representative per group is branched on.
+representative per group is branched on.  When refinement ends with one
+vertex per cell, only one ordering is allowed and no search runs.
 
 Every class is grown by one routine: each graph of a parent class yields
 its children, each child is relabeled canonically, and the set of canonical
@@ -29,6 +30,12 @@ planar graph of order at least 4 they are the triangles whose removal
 leaves the rest connected.  graph6 is written only to sort the kept
 classes, by (size, canonical record), so output order is stable across
 runs and shard counts.
+
+Children and canonical graphs are built from adjacency masks, not edge
+lists: a child's masks are its parent's plus the new vertex's (or, for a
+flip, the parent's with one edge swapped), and a canonical graph's masks are
+read off the winning columns of the search.  Each parent is a validated
+Graph, so these Graphs skip the checks of Graph(n, edges).
 
 Maximal k-degenerate graphs and k-trees are stacked on K_{k+1}: each new
 vertex is attached to any k vertices, or to a k-clique for k-trees.  A
@@ -54,7 +61,6 @@ from wienerseq.graphs import (
     is_connected,
     is_k_connected,
     is_odd_tree,
-    relabel,
     write_graph6,
 )
 from wienerseq.specs import Entry, parse_spec
@@ -98,17 +104,25 @@ def _cells(bits: tuple[int, ...], n: int) -> list[int]:
     return cells
 
 
-def canonical_order(g: Graph) -> tuple[int, ...]:
-    """Vertex ordering whose graph6 record is maximal over the orderings
-    that list the cells of the equitable partition in rank order."""
-    n = g.n
-    if n == 1:
-        return (0,)
-    bits = g.bits
+def _column(av: int, prefix: list[int]) -> int:
+    # The adjacency of a vertex (mask av) toward the placed vertices, the
+    # first placed as the most significant bit, so that columns of equal
+    # length compare as the graph6 bits they stand for.
+    col = 0
+    for u in prefix:
+        col = col << 1 | (av >> u & 1)
+    return col
+
+
+def _branch(
+    bits: tuple[int, ...], n: int, cells: list[int]
+) -> tuple[list[int] | None, list[int] | None]:
+    # Branch and bound over the orderings that take the cells in rank order:
+    # the one with the maximal columns, and those columns.
     best_cols: list[int] | None = None
     best_order: list[int] | None = None
     # cell_at[i] is the cell that position i of every allowed ordering takes.
-    cell_at = [c for c in _cells(bits, n) for _ in range(c.bit_count())]
+    cell_at = [c for c in cells for _ in range(c.bit_count())]
 
     def dfs(order: list[int], placed: int, cols: list[int]) -> None:
         nonlocal best_cols, best_order
@@ -124,11 +138,7 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            av = bits[v]
-            col = 0
-            for placed_v in order:
-                col = col << 1 | (av >> placed_v & 1)
-            groups.setdefault(col, []).append(v)
+            groups.setdefault(_column(bits[v], order), []).append(v)
         for col in sorted(groups, reverse=True):
             if best_cols is not None and cols == best_cols[:i] and col < best_cols[i]:
                 break
@@ -151,13 +161,44 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
                 cols.pop()
 
     dfs([], 0, [])
-    if best_order is None:
-        raise RuntimeError("canonical search placed no ordering of %d vertices" % n)
-    return tuple(best_order)
+    return best_order, best_cols
+
+
+def _search(bits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list[int]]:
+    # The allowed ordering with the maximal record, and its columns.
+    cells = _cells(bits, n)
+    if len(cells) == n:
+        # A discrete partition allows one ordering only: nothing to search.
+        order = [c.bit_length() - 1 for c in cells]
+        cols = [_column(bits[v], order[:i]) for i, v in enumerate(order)]
+    else:
+        order, cols = _branch(bits, n, cells)
+        if order is None or cols is None:
+            raise RuntimeError("canonical search placed no ordering of %d vertices" % n)
+    return tuple(order), cols
+
+
+def canonical_order(g: Graph) -> tuple[int, ...]:
+    """Vertex ordering whose graph6 record is maximal over the orderings
+    that list the cells of the equitable partition in rank order."""
+    return _search(g.bits, g.n)[0]
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return relabel(g, canonical_order(g))
+    """g relabeled by its canonical order, built from the search's columns."""
+    cols = _search(g.bits, g.n)[1]
+    bits = [0] * g.n
+    for i, col in enumerate(cols):
+        # Bit k of column i is the pair of positions i - 1 - k and i.  The
+        # loop is written out, as in Graph._from_bits, because it runs for
+        # every labeled child.
+        while col:
+            low = col & -col
+            j = i - low.bit_length()
+            bits[i] |= 1 << j
+            bits[j] |= 1 << i
+            col ^= low
+    return Graph._from_bits(tuple(bits))
 
 
 def canonical_form(g: Graph) -> str:
@@ -175,9 +216,12 @@ def _grow(
     return tuple(sorted(kept, key=lambda g: (g.m, write_graph6(g))))
 
 
-def _attach(g: Graph, neighborhood: Iterable[int]) -> Graph:
-    # g plus a new vertex n adjacent to the given vertices.
-    return Graph(g.n + 1, g.edges + tuple((v, g.n) for v in neighborhood))
+def _attach(g: Graph, mask: int) -> Graph:
+    # g plus a new vertex n adjacent to the vertices in mask, from g's masks.
+    n = g.n
+    return Graph._from_bits(
+        tuple(b | (mask >> v & 1) << n for v, b in enumerate(g.bits)) + (mask,)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +231,7 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
         return (Graph(1),)
     return _grow(
         _all_graphs(n - 1),
-        lambda g: (
-            _attach(g, [v for v in range(g.n) if mask >> v & 1])
-            for mask in range(1 << g.n)
-        ),
+        lambda g: (_attach(g, mask) for mask in range(1 << g.n)),
     )
 
 
@@ -228,7 +269,7 @@ def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
     return _grow(
         _stacked(n - 1, k, cliques),
         lambda g: (
-            _attach(g, s)
+            _attach(g, sum(1 << v for v in s))
             for s in itertools.combinations(range(g.n), k)
             if not cliques
             or all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
@@ -273,7 +314,7 @@ def _odd_trees(n: int) -> tuple[Graph, ...]:
         return (Graph(2, [(0, 1)]),)
     return _grow(
         _odd_trees(n - 2),
-        lambda g: (_attach(_attach(g, (v,)), (v,)) for v in range(g.n)),
+        lambda g: (_attach(_attach(g, 1 << v), 1 << v) for v in range(g.n)),
     )
 
 
@@ -312,7 +353,10 @@ def _apollonian(n: int) -> tuple[Graph, ...]:
     # Grown from the triangle by inserting a vertex into a face.
     if n == 3:
         return (Graph(3, [(0, 1), (0, 2), (1, 2)]),)
-    return _grow(_apollonian(n - 1), lambda g: (_attach(g, f) for f in _faces(g)))
+    return _grow(
+        _apollonian(n - 1),
+        lambda g: (_attach(g, 1 << a | 1 << b | 1 << c) for a, b, c in _faces(g)),
+    )
 
 
 def enumerate_apollonian(n: int) -> Iterator[Graph]:
@@ -334,8 +378,14 @@ def _flips(g: Graph) -> Iterator[Graph]:
     for uv, wx in apexes.items():
         if len(wx) != 2:
             raise RuntimeError("edge %r is on %d faces, not 2" % (uv, len(wx)))
-        if not g.has_edge(*wx):
-            yield Graph(g.n, [e for e in g.edges if e != uv] + [tuple(wx)])
+        (u, v), (w, x) = uv, wx
+        if not g.has_edge(w, x):
+            bits = list(g.bits)
+            bits[u] ^= 1 << v
+            bits[v] ^= 1 << u
+            bits[w] |= 1 << x
+            bits[x] |= 1 << w
+            yield Graph._from_bits(tuple(bits))
 
 
 @lru_cache(maxsize=None)

@@ -71,6 +71,26 @@ class Graph:
             bits[v] |= 1 << u
         self.bits = tuple(bits)
 
+    @classmethod
+    def _from_bits(cls, bits: tuple[int, ...]) -> Graph:
+        # The Graph with these adjacency masks, which must come from a
+        # validated graph (symmetric, no loops, in range), so nothing is
+        # checked; the edges are read off in sorted order.  This runs twice
+        # per labeled child, so the lowest-bit loop is written out: a call
+        # to _iter_bits per vertex makes it about 70% slower.
+        g = cls.__new__(cls)
+        g.n = len(bits)
+        g.bits = bits
+        edges = []
+        for u, b in enumerate(bits):
+            b = b >> u + 1 << u + 1
+            while b:
+                low = b & -b
+                edges.append((u, low.bit_length() - 1))
+                b ^= low
+        g.edges = tuple(edges)
+        return g
+
     @property
     def m(self) -> int:
         """Number of edges."""

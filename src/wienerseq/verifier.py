@@ -311,9 +311,12 @@ def _run(
     # elapsed_s times the check phase only, not enumeration or encoding
     records = [write_graph6(g) for g in graphs]
     start = time.monotonic()
-    payloads = [(suite, params, records[i::jobs]) for i in range(jobs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Shard i holds records i, i + jobs, ...; only shards that hold a record
+    # are checked, so fewer records than jobs start fewer workers.
+    busy = min(jobs, len(records))
+    payloads = [(suite, params, records[i::jobs]) for i in range(busy)]
+    if busy > 1:
+        with ProcessPoolExecutor(max_workers=busy) as pool:
             parts = list(pool.map(_check_shard, payloads))
     else:
         parts = [_check_shard(p) for p in payloads]

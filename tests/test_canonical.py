@@ -1,5 +1,6 @@
 """The labeler against the one it replaced, and on graphs that colour
-refinement cannot split or splits down to the automorphism orbits."""
+refinement cannot split or splits down to the automorphism orbits; the
+Graphs built from masks against the validated constructor and relabel."""
 
 import hashlib
 import random
@@ -14,15 +15,18 @@ from old_labeler import old_canonical_form
 from wienerseq import (
     Graph,
     canonical_form,
+    canonical_graph,
     canonical_order,
     cycle,
     enumerate_class,
+    enumerate_maximal_planar,
     parse_class_spec,
     path,
     relabel,
     star,
 )
-from wienerseq.enumeration import _all_graphs, _cells
+from wienerseq import enumeration
+from wienerseq.enumeration import _all_graphs, _attach, _branch, _cells, _flips, _search
 
 # spec -> (classes, first 16 hex digits of the sha256 of the records that
 # the max-over-all-orderings labeler gave the class, sorted, one per line).
@@ -151,3 +155,82 @@ def test_refinement_splits_down_to_the_orbits(g, orbits):
     assert sorted(canonical_order(g)) == list(range(g.n))
     assert canonical_form(g) == canonical_form(relabel(g, canonical_order(g)))
     _assert_relabel_invariant(g, seed=g.n)
+
+
+def _assert_mask_built(g):
+    # A Graph built from masks has the edges and bits of the Graph that the
+    # validating constructor builds from its edges.
+    h = Graph(g.n, g.edges)
+    assert (g.n, g.edges, g.bits) == (h.n, h.edges, h.bits)
+
+
+def _assert_canonical_graph_is_relabel(g):
+    c = canonical_graph(g)
+    _assert_mask_built(c)
+    assert c == relabel(g, canonical_order(g))
+
+
+def _random_graphs(count, max_n, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random()
+        yield Graph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_children_of_the_growth_are_mask_built(n):
+    # Every child that _all_graphs(n + 1) labels: each graph of order n with
+    # every neighborhood of the new vertex.
+    for g in _all_graphs(n):
+        for mask in range(1 << n):
+            child = _attach(g, mask)
+            _assert_mask_built(child)
+            assert child == Graph(
+                n + 1, g.edges + tuple((v, n) for v in range(n) if mask >> v & 1)
+            )
+            _assert_canonical_graph_is_relabel(child)
+
+
+def test_random_graphs_canonical_graph_is_relabel():
+    rng = random.Random(16)
+    for g in _random_graphs(2000, 11, seed=16):
+        _assert_canonical_graph_is_relabel(g)
+        _assert_mask_built(_attach(g, rng.getrandbits(g.n)))
+
+
+def test_flips_are_mask_built():
+    for g in enumerate_maximal_planar(8):
+        for h in _flips(g):
+            _assert_mask_built(h)
+            assert h.m == g.m and len(set(g.edges) ^ set(h.edges)) == 2
+
+
+def test_discrete_partition_skips_the_search(monkeypatch):
+    # With one vertex per cell the only allowed ordering is the cells in
+    # rank order, so _search takes it without calling _branch, and it is
+    # the ordering and columns that _branch finds.  The old labeler
+    # maximises over all orderings, so its records differ, but both split
+    # graphs alike.
+    graphs = [SPIDER] + [
+        g for g in _random_graphs(400, 9, seed=7) if len(_cells(g.bits, g.n)) == g.n
+    ]
+    assert len(graphs) > 50
+    searched = [_branch(g.bits, g.n, _cells(g.bits, g.n)) for g in graphs]
+
+    def no_discrete(bits, n, cells):
+        assert len(cells) < n, "searched a discrete partition"
+        return _branch(bits, n, cells)
+
+    monkeypatch.setattr(enumeration, "_branch", no_discrete)
+    for g, (order, cols) in zip(graphs, searched):
+        assert _search(g.bits, g.n) == (tuple(order), cols)
+        rng = random.Random(g.n)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, tuple(perm))) == canonical_form(g)
+    forms = {canonical_form(g) for g in graphs}
+    assert len(forms) == len({old_canonical_form(g) for g in graphs})

@@ -342,8 +342,8 @@ def graph_documents(draw):
     return "\n".join([str(g.n)] + ["%d %d" % e for e in g.edges]) + "\n", g
 
 
-# |lambda| <= 1e4: exact values for much larger integer exponents need
-# gigabytes before any check can refuse them.
+# |lambda| <= 1e4 keeps the exact values of these graphs of at most 8
+# vertices under the size bound, so most drawn specs are evaluated.
 exponents = st.integers(-10**4, 10**4) | st.floats(-1e4, 1e4)
 parametric = sorted(name for name, entry in INDICES.items() if entry.args)
 index_specs = st.one_of(
@@ -396,6 +396,26 @@ def test_large_exponent_overflow_exits_three_under_optimize(capsys):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("input error: index variable_wiener:5000")
     assert "Traceback" not in proc.stderr
+
+
+def test_oversized_exact_value_exits_three_at_once(capsys):
+    # cycle:7 has distances up to 3, and 3^(10^8) alone would take minutes
+    # to compute exactly; the library refuses it before taking any power.
+    for spec, shown in (
+        ("variable_wiener:100000000", "variable_wiener:1e+08"),
+        ("gen_hyper_wiener:-200000", "gen_hyper_wiener:-200000"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wienerseq", "compute",
+             "--family", "cycle:7", "--index", spec],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("input error: index %s: " % shown)
+        assert "over the bound" in proc.stderr
+    # A smaller negative exponent is cheap on C_7 and still evaluated.
+    assert main(["compute", "--family", "cycle:7", "--index", "gen_hyper_wiener:-2000"]) == 0
+    assert "gen_hyper_wiener:-2000 = " in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_two():

@@ -141,6 +141,24 @@ def test_growth_encodes_each_kept_class_once(monkeypatch):
     assert len(calls) == 51
 
 
+def test_growth_validates_no_child(monkeypatch):
+    # Children and canonical graphs are built from masks, so the 218
+    # children of orders 2..5 (2 + 8 + 32 + 176) cost no Graph(n, edges)
+    # call, neither for the child nor for its canonical graph; the one
+    # validated construction is Graph(1), the root of the growth.
+    calls = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    enumeration._all_graphs.cache_clear()
+    assert len(enumeration._all_graphs(5)) == 34
+    assert calls == [(1,)]
+
+
 @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
 def test_tree_counts(n, count):
     assert sum(1 for _ in enumerate_k_trees(n, 1)) == count

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from wienerseq import (
     DistanceSequence,
+    complete,
     cycle,
     diameter_index,
     distance_matrix,
@@ -33,7 +35,13 @@ from wienerseq import (
 )
 from wienerseq.enumeration import enumerate_connected
 from wienerseq.families import odd_caterpillar
-from wienerseq.indices import DECREASING, INCREASING, NONDECREASING
+from wienerseq.indices import (
+    DECREASING,
+    INCREASING,
+    MAX_EXACT_BITS,
+    NONDECREASING,
+    ExponentRangeError,
+)
 
 entry_lists = st.lists(st.integers(1, 9), min_size=1, max_size=25)
 
@@ -120,6 +128,32 @@ def test_lambda_zero_rejected():
         variable_wiener(0)
     with pytest.raises(ValueError):
         gen_hyper_wiener(0)
+
+
+@pytest.mark.parametrize("make", [variable_wiener, gen_hyper_wiener])
+def test_exact_value_past_the_size_bound_rejected(make):
+    # The distances 1, 2 and 3 of C_7 cost 0 + 1 + 2 bits per unit of
+    # |lambda|, so C_7 takes integer exponents up to MAX_EXACT_BITS // 3 in
+    # magnitude.  Past that the evaluators raise before any term is taken:
+    # 3^(10^8) alone has about 1.6e8 bits.
+    seq = distance_sequence(cycle(7))
+    top = MAX_EXACT_BITS // 3
+
+    def untouched(d):
+        raise AssertionError("term evaluated at %d" % d)
+
+    for lam in (top + 1, -top - 1, 10**8, -1e8):
+        for defn in (make(lam), replace(make(lam), term=untouched)):
+            for evaluator in (evaluate, evaluate_exact):
+                with pytest.raises(ExponentRangeError, match="over the bound"):
+                    evaluator(defn, seq)
+    assert issubclass(ExponentRangeError, ValueError)
+    assert evaluate_exact(make(top), seq) > 0
+    # Every term of a graph of diameter 1 is 1, whatever the exponent.
+    assert evaluate_exact(make(10**8), distance_sequence(complete(4))) == 6
+    # A non-integer exponent is evaluated in floats, in bounded time; each
+    # of the 7 edges of C_7 adds 1, and every longer distance adds 0.
+    assert evaluate(make(-1e8 - 0.5), seq) == 7.0
 
 
 @pytest.mark.parametrize(

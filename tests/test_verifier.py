@@ -292,6 +292,24 @@ def test_reports_identical_across_process_pool():
     assert pooled.to_dict()["shards"] == 4
 
 
+def test_pool_starts_a_worker_per_nonempty_shard(monkeypatch):
+    # The 2 connected graphs on 3 vertices fill 2 of 8 shards, so one pool
+    # of 2 workers starts; the report still says 8 shards.
+    started = []
+
+    class Recording(verifier.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", Recording)
+    pooled = verify_deletion_bound(3, jobs=8)
+    assert started == [2]
+    assert pooled.to_dict()["shards"] == 8
+    base = verify_deletion_bound(3).to_json(include_meta=False)
+    assert pooled.to_json(include_meta=False) == base
+
+
 def test_suite_spec_arguments_are_runner_parameters():
     # the CLI calls SUITES[name].verify(jobs=..., **spec arguments)
     for name, entry in SUITES.items():
