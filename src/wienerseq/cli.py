@@ -201,10 +201,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         try:
             entry: dict = {"name": defn.name, "value": evaluate(defn, seq)}
             exact = evaluate_exact(defn, seq)
-            if exact is not None:
-                entry["exact_value"] = str(exact)
         except (ValueError, OverflowError) as exc:
             raise InputError("index %s: %s" % (defn.display_name, exc)) from exc
+        if exact is not None:
+            try:
+                entry["exact_value"] = str(exact)
+            except ValueError:
+                # Python refuses to write an integer of more than
+                # sys.get_int_max_str_digits() digits.
+                raise InputError(
+                    "index %s: the exact value has more than %d digits, too "
+                    "long to print" % (defn.display_name, sys.get_int_max_str_digits())
+                ) from None
         if defn.lam is not None:
             entry["lambda"] = defn.lam
         rows.append(entry)

@@ -114,19 +114,6 @@ def odd_caterpillar(n: int) -> Graph:
     return Graph(n, edges)
 
 
-def odd_caterpillar_increment(n: int) -> DistanceSequence:
-    """Distance entries gained when growing the odd caterpillar from n-2 to n.
-
-    The run-length form is (1^2, 2^3, 3^4, 4^4, ..., (n/2)^4); its length
-    is 2n - 3.
-    """
-    if n < 6 or n % 2:
-        raise ValueError("defined for even n >= 6, got %r" % (n,))
-    runs = [(1, 2), (2, 3)]
-    runs.extend((d, 4) for d in range(3, n // 2 + 1))
-    return DistanceSequence(runs)
-
-
 FAMILIES = {
     "pk": Entry(path_complete, {"n": int, "m": int}),
     "cyclepow": Entry(cycle_power, {"n": int, "h": int}),

@@ -1,9 +1,11 @@
 """Core graph type, graph6 and edge-list codecs, and structural predicates.
 
 Vertices are the integers 0..n-1.  Graphs are simple (no loops, no parallel
-edges), undirected, and immutable once constructed.  Adjacency is stored
-as one bitmask per vertex, which keeps the breadth-first traversals used
-throughout the package cheap at the small orders this library targets.
+edges), undirected, and immutable once constructed.  A graph is stored as
+one adjacency bitmask per vertex and nothing else: its edge list and size
+are read off the masks when asked for, and equality and hashing compare
+the masks.  The masks keep the breadth-first traversals used throughout
+the package cheap at the small orders this library targets.
 
 The module holds the ``Graph`` type; one layered BFS inside a vertex mask
 (``_layers``) for distances, graph powers, layer counts, connectivity, cut
@@ -45,56 +47,50 @@ class DisconnectedGraphError(ValueError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1, stored as its
+    adjacency masks: bit v of ``bits[u]`` is set iff u and v are adjacent."""
 
-    __slots__ = ("n", "edges", "bits")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("graph order must be at least 1, got %r" % (n,))
-        norm = []
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge (%r, %r) out of range for n=%d" % (u, v, n))
             if u == v:
                 raise ValueError("self-loop at vertex %d" % u)
-            norm.append((u, v) if u < v else (v, u))
-        ordered = tuple(sorted(norm))
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ValueError("duplicate edge (%d, %d)" % a)
-        self.n = n
-        self.edges = ordered
-        bits = [0] * n
-        for u, v in ordered:
+            if bits[u] >> v & 1:
+                raise ValueError("duplicate edge (%d, %d)" % (min(u, v), max(u, v)))
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+        self.n = n
         self.bits = tuple(bits)
 
     @classmethod
     def _from_bits(cls, bits: tuple[int, ...]) -> Graph:
         # The Graph with these adjacency masks, which must come from a
         # validated graph (symmetric, no loops, in range), so nothing is
-        # checked; the edges are read off in sorted order.  This runs twice
-        # per labeled child, so the lowest-bit loop is written out: a call
-        # to _iter_bits per vertex makes it about 70% slower.
+        # checked.
         g = cls.__new__(cls)
         g.n = len(bits)
         g.bits = bits
-        edges = []
-        for u, b in enumerate(bits):
-            b = b >> u + 1 << u + 1
-            while b:
-                low = b & -b
-                edges.append((u, low.bit_length() - 1))
-                b ^= low
-        g.edges = tuple(edges)
         return g
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v) with u < v, in ascending order."""
+        return tuple(
+            (u, v)
+            for u, b in enumerate(self.bits)
+            for v in _iter_bits(b >> u + 1 << u + 1)
+        )
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return sum(map(int.bit_count, self.bits)) // 2
 
     def degree(self, v: int) -> int:
         return self.bits[v].bit_count()
@@ -109,10 +105,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.bits)
 
     def __repr__(self) -> str:
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
@@ -286,13 +282,13 @@ def graph_power(g: Graph, k: int) -> Graph:
     if k < 1:
         raise ValueError("power exponent must be positive")
     full = (1 << g.n) - 1
-    edges = []
+    bits = []
     for u in range(g.n):
         near = 0
         for layer in _layers(g.bits, u, full)[:k]:
             near |= layer
-        edges.extend((u, v) for v in _iter_bits(near) if v > u)
-    return g if k == 1 else Graph(g.n, edges)
+        bits.append(near)
+    return Graph._from_bits(tuple(bits))
 
 
 def relabel(g: Graph, order: tuple[int, ...]) -> Graph:

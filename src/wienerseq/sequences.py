@@ -24,7 +24,7 @@ non-cut vertex costs one layer count of g - v.  At a single vertex v,
 v's counts are the layer sizes of one BFS from v.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs;
-all comparisons and merges walk runs, never expanded entries.
+comparisons walk runs, never expanded entries.
 """
 
 from __future__ import annotations
@@ -185,24 +185,6 @@ def compare(a: DistanceSequence, b: DistanceSequence) -> DominanceRelation:
     return DominanceRelation(
         Dominance.INCOMPARABLE, less_at=less_at, greater_at=greater_at
     )
-
-
-def merge(a: DistanceSequence, b: DistanceSequence) -> DistanceSequence:
-    """Multiset union, i.e. the sorted concatenation of the two sequences."""
-    out: list[tuple[int, int]] = []
-    ia = ib = 0
-    while ia < len(a.runs) or ib < len(b.runs):
-        if ib >= len(b.runs) or (ia < len(a.runs) and a.runs[ia][0] <= b.runs[ib][0]):
-            v, c = a.runs[ia]
-            ia += 1
-        else:
-            v, c = b.runs[ib]
-            ib += 1
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + c)
-        else:
-            out.append((v, c))
-    return DistanceSequence(out)
 
 
 def _layer_counts(g: Graph, allowed: int) -> list[int]:

@@ -1,12 +1,13 @@
-"""Shared helpers: networkx conversion, a brute-force isomorphism oracle and
-hypothesis graph strategies."""
+"""Shared helpers: networkx conversion, oracles (brute-force isomorphism,
+sequence merging, the odd caterpillar's growth) and hypothesis graph
+strategies."""
 
 import itertools
 
 import networkx as nx
 from hypothesis import strategies as st
 
-from wienerseq import Graph
+from wienerseq import DistanceSequence, Graph
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -28,10 +29,11 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if sorted(map(int.bit_count, a.bits)) != sorted(map(int.bit_count, b.bits)):
         return False
+    edges_a = a.edges
     edges_b = set(b.edges)
     for perm in itertools.permutations(range(a.n)):
         ok = True
-        for u, v in a.edges:
+        for u, v in edges_a:
             pu, pv = perm[u], perm[v]
             if ((pu, pv) if pu < pv else (pv, pu)) not in edges_b:
                 ok = False
@@ -39,6 +41,38 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def merge(a: DistanceSequence, b: DistanceSequence) -> DistanceSequence:
+    """Multiset union, i.e. the sorted concatenation of the two sequences;
+    the definition the deletion bound is stated with."""
+    out: list[tuple[int, int]] = []
+    ia = ib = 0
+    while ia < len(a.runs) or ib < len(b.runs):
+        if ib >= len(b.runs) or (ia < len(a.runs) and a.runs[ia][0] <= b.runs[ib][0]):
+            v, c = a.runs[ia]
+            ia += 1
+        else:
+            v, c = b.runs[ib]
+            ib += 1
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + c)
+        else:
+            out.append((v, c))
+    return DistanceSequence(out)
+
+
+def odd_caterpillar_increment(n: int) -> DistanceSequence:
+    """Distance entries gained when growing the odd caterpillar from n-2 to n.
+
+    The run-length form is (1^2, 2^3, 3^4, 4^4, ..., (n/2)^4); its length
+    is 2n - 3.
+    """
+    if n < 6 or n % 2:
+        raise ValueError("defined for even n >= 6, got %r" % (n,))
+    runs = [(1, 2), (2, 3)]
+    runs.extend((d, 4) for d in range(3, n // 2 + 1))
+    return DistanceSequence(runs)
 
 
 @st.composite

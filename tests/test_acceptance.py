@@ -15,7 +15,13 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from conftest import brute_force_isomorphic, from_nx, to_nx
+from conftest import (
+    brute_force_isomorphic,
+    from_nx,
+    merge,
+    odd_caterpillar_increment,
+    to_nx,
+)
 from wienerseq import (
     Dominance,
     Graph,
@@ -36,10 +42,8 @@ from wienerseq import (
     harary,
     hyper_wiener,
     log_mult_wiener,
-    merge,
     mult_wiener,
     odd_caterpillar,
-    odd_caterpillar_increment,
     order_size_lower_bound_exact,
     parse_graph6,
     path_complete,

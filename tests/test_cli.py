@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, and report determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -197,6 +198,25 @@ def test_enumerate_to_stdout(capsys):
     assert json.loads(captured.err)["count"] == 6
 
 
+# sha256 of `enumerate --class SPEC` stdout.  A change to the labeling or
+# the graph6 writer that rewrites these records must re-pin them and say so,
+# with the unchanged class sets of test_canonical.OLD_RECORDS beside them.
+ENUMERATE_DIGESTS = {
+    "connected:7": "d72c0c81caeb24a1eb2d76a49dc78b92edd6ba5ba92a74daeb06c18e61c5956e",
+    "k_tree:10,3": "23ce905881cee3027458306b55bc8e02686279511aa836107546e857680f3cae",
+    "apollonian:11": "d137a64155ad143f5472ba144cd28996b7b598d911aa3d48bbe3d42784220d33",
+    "maximal_planar:9": "74e909e99d923dbdb168a7fbef2e162fb851b8ff670e840f60d0ff1bf0df9f50",
+    "odd_tree:14": "7f8afd6c37d49a009c0b45d254e1ef563e40cce21ddc94a544a56e55e708af0f",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(spec, capsys):
+    assert main(["enumerate", "--class", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[spec]
+
+
 def test_enumerate_unknown_class(capsys):
     for spec in ("nope:5", "connected", "k_tree:8", "k_tree:8,2,1", "connected:x",
                  "k_tree:8,2,", "connected:5,-3", "connected:5,99",
@@ -291,12 +311,16 @@ def test_explore_flip_and_apollonian(tmp_path, capsys):
         (["compute", "--family", "path:3", "--index", "variable_wiener:5000"], 3),
         (["compute", "--family", "path:3", "--index", "gen_hyper_wiener:3000"], 3),
         (["compute", "--family", "path:3", "--index", "variable_wiener:-20000"], 3),
+        (["compute", "--family", "cycle:7", "--index", "gen_hyper_wiener:-20000"], 3),
+        (["compute", "--family", "cycle:7", "--index", "gen_hyper_wiener:-20000",
+          "--format", "json"], 3),
     ],
 )
 def test_bad_spec_or_input_exit_code(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(ERROR_PREFIX[code]), err
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

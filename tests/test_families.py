@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from conftest import to_nx
+from conftest import merge, odd_caterpillar_increment, to_nx
 from wienerseq import (
     Dominance,
     canonical_form,
@@ -15,9 +15,7 @@ from wienerseq import (
     end_vertex_sequence_path_power,
     is_connected,
     is_odd_tree,
-    merge,
     odd_caterpillar,
-    odd_caterpillar_increment,
     parse_family_spec,
     path,
     path_complete,

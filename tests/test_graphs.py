@@ -62,6 +62,11 @@ def test_adjacency_derived_from_edges(g):
     rebuilt = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])
     assert rebuilt == g
     assert hash(rebuilt) == hash(g)
+    assert g.m == len(g.edges)
+    from_bits = Graph._from_bits(g.bits)
+    assert from_bits == g
+    assert hash(from_bits) == hash(g)
+    assert g != Graph(g.n + 1, g.edges)
 
 
 def test_fixture_corpus_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, to_nx
+from conftest import connected_graphs, merge, to_nx
 from wienerseq import (
     DisconnectedGraphError,
     DistanceSequence,
@@ -19,7 +19,6 @@ from wienerseq import (
     distance_matrix,
     distance_sequence,
     is_cut_vertex,
-    merge,
     path,
     relabel,
     star,
