@@ -20,7 +20,10 @@ vertex per cell, only one ordering is allowed and no search runs.
 Every class is grown by one routine: each graph of a parent class yields
 its children, each child is relabeled canonically, and the set of canonical
 graphs is kept, so two children are one class exactly when their canonical
-Graphs are equal.  The state is the canonical graph alone.  All graphs of
+Graphs are equal.  The state is the canonical graph alone.  Growers that
+add one vertex of the class's least degree yield only the children whose
+new vertex is a canonical deletion (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998), described below.  All graphs of
 order n attach a new vertex with any neighborhood to a graph of order
 n - 1, and Apollonian networks insert it into a triangular face.  Odd trees
 of order n hang two leaves on one vertex of an odd tree of order n - 2.
@@ -46,7 +49,28 @@ vertex has at most min(i - 1, k) earlier neighbors, allows.  So in such an
 order every vertex has exactly min(i - 1, k) earlier neighbors: the first
 k + 1 form K_{k+1} and each later one has k earlier neighbors.  Every
 stacked graph is k-degenerate with that edge count, so it is maximal.  Up
-to order k + 1 the class is K_n.
+to order k + 1 the class is K_n.  For k-trees the k-cliques are built from
+the masks, one common neighbourhood at a time.
+
+Canonical deletion.  Above the base order, a k-tree or maximal
+k-degenerate graph has least degree k, an Apollonian network least degree
+3, and the new vertex of each child has that degree.  Deleting any vertex
+of the least degree leaves a member of the parent class: in a k-tree it is
+simplicial; in a maximal k-degenerate graph the rest keeps the Lick-White
+edge count k(n - 1) - k(k+1)/2; in an Apollonian network its three
+neighbours bound a face of the rest.  So a child is kept only when its new
+vertex has the largest f(v), the sorted degrees of v's neighbours, among
+the vertices of the least degree.  f is isomorphism-invariant, so every
+class has a member h and a vertex v maximising f in it, and h - v is
+isomorphic to some parent; attaching a vertex to that parent on the image
+of v's neighbourhood (a k-set, a k-clique or a face) gives a kept child
+isomorphic to h.  Ties keep several children of one class, which meet in
+the set.  The rule is decided from the parent's masks and the new
+neighbourhood, so a rejected child costs no Graph and no labeling.  Not
+filtered: all graphs, whose deletable vertices (non-cut vertices of
+connected graphs) wait on a growth from connected parents; odd trees,
+which label few children; and the flips of the triangulation closure,
+which add no vertex.
 """
 
 from __future__ import annotations
@@ -262,19 +286,57 @@ def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
             yield g
 
 
+def _is_canonical_deletion(
+    bits: tuple[int, ...], degrees: list[int], rivals: int, mask: int
+) -> bool:
+    # Whether the new vertex of g + (a vertex adjacent to mask), for g with
+    # masks bits and degrees degrees, has the largest f(v), the sorted
+    # degrees of v's neighbours in the child, among the child's vertices of
+    # the least degree; rivals holds g's vertices of that degree outside
+    # mask.  A vertex in mask gains an edge, so it is above that degree,
+    # except in the one child of the triangle, which is kept.
+    def f(nbrs: int) -> list[int]:
+        return sorted(degrees[u] + (mask >> u & 1) for u in _iter_bits(nbrs))
+
+    new = f(mask)
+    return all(f(bits[v]) <= new for v in _iter_bits(rivals))
+
+
+def _canonical_children(g: Graph, least: int, masks: Iterable[int]) -> Iterator[Graph]:
+    # The children g + (a vertex adjacent to mask), for mask in masks, whose
+    # new vertex is a canonical deletion; least is the degree of the new
+    # vertex and the least degree of the child.
+    bits = g.bits
+    degrees = [b.bit_count() for b in bits]
+    low = sum(1 << v for v, d in enumerate(degrees) if d == least)
+    for mask in masks:
+        if _is_canonical_deletion(bits, degrees, low & ~mask, mask):
+            yield _attach(g, mask)
+
+
+def _cliques(adj: tuple[int, ...], k: int, within: int) -> Iterator[int]:
+    # Masks of the k-cliques of the graph with masks adj among the vertices
+    # in within, each built once, in increasing order of its vertices.
+    if k == 0:
+        yield 0
+        return
+    for v in _iter_bits(within):
+        for rest in _cliques(adj, k - 1, within & adj[v] >> v + 1 << v + 1):
+            yield rest | 1 << v
+
+
 @lru_cache(maxsize=None)
 def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
     # K_n up to order k + 1; above it, each new vertex is attached to k
-    # vertices, which must form a clique when cliques is set (k-trees).
+    # vertices, which must form a clique when cliques is set (k-trees).  The
+    # k-sets of vertices are the k-cliques of the complete graph.
     if n <= k + 1:
         return (Graph(n, itertools.combinations(range(n), 2)),)
+    full = (1 << n - 1) - 1
     return _grow(
         _stacked(n - 1, k, cliques),
-        lambda g: (
-            _attach(g, sum(1 << v for v in s))
-            for s in itertools.combinations(range(g.n), k)
-            if not cliques
-            or all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        lambda g: _canonical_children(
+            g, k, _cliques(g.bits if cliques else (full,) * g.n, k, full)
         ),
     )
 
@@ -358,7 +420,9 @@ def _apollonian(n: int) -> tuple[Graph, ...]:
         return (Graph(3, [(0, 1), (0, 2), (1, 2)]),)
     return _grow(
         _apollonian(n - 1),
-        lambda g: (_attach(g, 1 << a | 1 << b | 1 << c) for a, b, c in _faces(g)),
+        lambda g: _canonical_children(
+            g, 3, (1 << a | 1 << b | 1 << c for a, b, c in _faces(g))
+        ),
     )
 
 

@@ -159,6 +159,103 @@ def test_growth_validates_no_child(monkeypatch):
     assert calls == [(1,)]
 
 
+def test_growth_labels_only_canonical_deletions(monkeypatch):
+    # 3-trees of orders 5..10 label 4 + 7 + 11 + 25 + 87 + 379 children,
+    # not all 4 + 7 + 20 + 65 + 240 + 1,102 = 1,438; Apollonian networks of
+    # orders 4..11 label 1 + 4 + 6 + 8 + 13 + 36 + 131 + 544, not all
+    # 1 + 4 + 6 + 8 + 30 + 84 + 336 + 1,488 = 1,957.
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_graph(g)
+
+    monkeypatch.setattr(enumeration, "canonical_graph", counting)
+    enumeration._stacked.cache_clear()
+    enumeration._apollonian.cache_clear()
+    assert len(enumeration._stacked(10, 3, True)) == 275
+    assert len(calls) == 513
+    calls.clear()
+    assert len(enumeration._apollonian(11)) == 434
+    assert len(calls) == 743
+
+
+def _stacked_children(k, cliques):
+    # Every child of the stacked growth: a new vertex on any k vertices, or
+    # on any k-clique, with no deletion rule.
+    def children(g):
+        for s in itertools.combinations(range(g.n), k):
+            if not cliques or all(
+                g.has_edge(u, v) for u, v in itertools.combinations(s, 2)
+            ):
+                yield enumeration._attach(g, sum(1 << v for v in s))
+
+    return children
+
+
+def _face_children(g):
+    # Every child of face insertion, with no deletion rule.
+    for a, b, c in _faces(g):
+        yield enumeration._attach(g, 1 << a | 1 << b | 1 << c)
+
+
+# name -> (class args after n, root order, least degree, top order, children)
+DELETION_GROWERS = {
+    **{
+        "k_tree:%d" % k: ((k,), k + 1, k, 10, _stacked_children(k, k > 1))
+        for k in (1, 2, 3)
+    },
+    **{
+        "maximal_k_degenerate:%d" % k: ((k,), k + 1, k, 7, _stacked_children(k, False))
+        for k in (1, 2, 3, 4)
+    },
+    "apollonian": ((), 3, 3, 11, _face_children),
+}
+
+
+def _grown(name, n):
+    # The canonical graphs of the class at order n, as the package grows it.
+    args = DELETION_GROWERS[name][0]
+    return set(enumerate_class(name.split(":")[0], (n,) + args))
+
+
+def _delete(g, v):
+    return Graph(
+        g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges if v not in (a, b)]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DELETION_GROWERS))
+def test_canonical_deletion_drops_no_class(name):
+    # The oracle labels every child that the class's generator makes; the
+    # deletion rule must reach the same classes at every order.
+    _, root, _, top, children = DELETION_GROWERS[name]
+    level = (canonical_graph(complete(root)),)
+    for n in range(root + 1, top + 1):
+        level = enumeration._grow(level, children)
+        assert _grown(name, n) == set(level), n
+
+
+@pytest.mark.parametrize("name", sorted(DELETION_GROWERS))
+def test_least_degree_vertices_delete_into_the_parent_class(name):
+    # The rule's lemmas: the new vertex of every child has the class's least
+    # degree, and deleting any vertex of that degree from a member leaves a
+    # member of the parent class.
+    _, root, least, top, children = DELETION_GROWERS[name]
+    parents = _grown(name, root)
+    for n in range(root + 1, top + 1):
+        for g in parents:
+            for h in children(g):
+                assert h.degree(n - 1) == least == min(map(h.degree, range(n)))
+        members = _grown(name, n)
+        for h in members:
+            assert min(map(h.degree, range(n))) == least
+            for v in range(n):
+                if h.degree(v) == least:
+                    assert canonical_graph(_delete(h, v)) in parents, (n, v)
+        parents = members
+
+
 @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
 def test_tree_counts(n, count):
     assert sum(1 for _ in enumerate_k_trees(n, 1)) == count
