@@ -199,10 +199,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     rows = []
     for defn in defs:
         try:
-            entry: dict = {"name": defn.name, "value": evaluate(defn, seq)}
             exact = evaluate_exact(defn, seq)
+            value = evaluate(defn, seq) if exact is None else float(exact)
         except (ValueError, OverflowError) as exc:
             raise InputError("index %s: %s" % (defn.display_name, exc)) from exc
+        entry: dict = {"name": defn.name, "value": value}
         if exact is not None:
             try:
                 entry["exact_value"] = str(exact)

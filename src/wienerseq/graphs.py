@@ -231,43 +231,26 @@ def degeneracy_check(g: Graph, k: int) -> tuple[bool, bool]:
 
     Peels a minimum-degree vertex repeatedly, breaking ties toward the
     lowest label; k-degenerate iff the minimum degree never exceeds k.
-    Maximal means adding any missing edge breaks k-degeneracy.
+    Maximal means adding any missing edge breaks k-degeneracy, which holds
+    exactly when a k-degenerate g has sum over i < n of min(i, k) edges
+    (Lick & White, "k-degenerate graphs", Canad. J. Math. 1970).  Proof:
+    in a degeneracy order (the peeling order reversed) the i-th vertex has
+    at most min(i - 1, k) earlier neighbours, so m is at most that sum and
+    at the sum no edge can be added; below it some i-th vertex has fewer
+    than min(i - 1, k) earlier neighbours, and an edge to an earlier
+    non-neighbour keeps the order a degeneracy order.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    degenerate = _peels_to_empty(g.n, list(g.bits), k)
-    if not degenerate:
-        return (False, False)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.bits[u] >> v & 1:
-                continue
-            bits = list(g.bits)
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-            if _peels_to_empty(g.n, bits, k):
-                return (True, False)
-    return (True, True)
-
-
-def _peels_to_empty(n: int, bits: list[int], k: int) -> bool:
-    alive = (1 << n) - 1
-    for _ in range(n):
-        best = -1
-        best_deg = n
-        m = alive
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            deg = (bits[v] & alive).bit_count()
-            if deg < best_deg:
-                best_deg = deg
-                best = v
-        if best_deg > k:
-            return False
-        alive &= ~(1 << best)
-    return True
+    alive = (1 << g.n) - 1
+    while alive:
+        degree, v = min(
+            ((g.bits[v] & alive).bit_count(), v) for v in _iter_bits(alive)
+        )
+        if degree > k:
+            return (False, False)
+        alive ^= 1 << v
+    return (True, g.m == sum(min(i, k) for i in range(g.n)))
 
 
 def is_odd_tree(g: Graph) -> bool:

@@ -14,23 +14,29 @@ distance.  Restricting the BFS to the vertex mask ``full & ~(1 << v)``
 counts the pairs of g - v without building g - v; the first BFS of that
 count fails exactly when v is a cut vertex.
 
-The deletion bound is checked on those per-distance counts, never on
-merged sequences: the bound's count at distance d is v's count plus
-g - v's count, the bound holds when at every distance t g has at least as
-many pairs at distance <= t as the bound has entries, and equality is
-equality of the two count vectors.  ``deletion_bounds`` counts g's pairs
-once and reads v's counts from row v of one distance matrix of g, so each
-non-cut vertex costs one layer count of g - v.  At a single vertex v,
-v's counts are the layer sizes of one BFS from v.
+Every dominance decision is one count test on two sorted sequences a and
+b given as their counts per value.  With A(t) and B(t) the numbers of
+entries <= t, a[i] < b[i] exactly when B(t) <= i < A(t) for some t, so
+the first coordinate where a is smaller is B(t) at the first t with
+A(t) > B(t), and the first where a is larger is A(t) at the first t with
+B(t) > A(t); a <= b when there is no such larger coordinate, and a == b
+when there is neither.  ``compare`` reads the counts off the runs of its
+two sequences.  The deletion bound reads them off per-distance counts,
+never merged sequences: the bound's count at distance d is v's count plus
+g - v's count.  ``deletion_bounds`` counts g's pairs once and reads v's
+counts from row v of one distance matrix of g, so each non-cut vertex
+costs one layer count of g - v.  At a single vertex v, v's counts are the
+layer sizes of one BFS from v.
 
-Sequences are stored run-length compressed as (value, multiplicity) pairs;
-comparisons walk runs, never expanded entries.
+Sequences are stored run-length compressed as (value, multiplicity) pairs,
+and comparisons never expand them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from wienerseq.graphs import (
@@ -147,44 +153,46 @@ class DominanceRelation:
         return self.tag in (Dominance.LESS, Dominance.EQUAL)
 
 
+_TAGS = {
+    (True, True): Dominance.EQUAL,
+    (False, True): Dominance.LESS,
+    (True, False): Dominance.GREATER,
+    (False, False): Dominance.INCOMPARABLE,
+}
+
+
 def compare(a: DistanceSequence, b: DistanceSequence) -> DominanceRelation:
     """Coordinatewise comparison; raises on length mismatch."""
-    if len(a) != len(b):
-        raise ValueError(
-            "cannot compare sequences of lengths %d and %d" % (len(a), len(b))
-        )
-    less_at: int | None = None
-    greater_at: int | None = None
-    ia = ib = 0
-    ra = rb = 0
-    pos = 0
-    total = len(a)
-    while pos < total and (less_at is None or greater_at is None):
-        va, ca = a.runs[ia]
-        vb, cb = b.runs[ib]
-        step = min(ca - ra, cb - rb)
-        if va < vb and less_at is None:
-            less_at = pos
-        elif va > vb and greater_at is None:
-            greater_at = pos
-        pos += step
-        ra += step
-        rb += step
-        if ra == ca:
-            ia += 1
-            ra = 0
-        if rb == cb:
-            ib += 1
-            rb = 0
-    if less_at is None and greater_at is None:
-        return DominanceRelation(Dominance.EQUAL)
-    if greater_at is None:
-        return DominanceRelation(Dominance.LESS, less_at=less_at)
-    if less_at is None:
-        return DominanceRelation(Dominance.GREATER, greater_at=greater_at)
-    return DominanceRelation(
-        Dominance.INCOMPARABLE, less_at=less_at, greater_at=greater_at
+    ca, cb = dict(a.runs), dict(b.runs)
+    less_at, greater_at, len_a, len_b = _crossings(
+        (ca.get(v, 0), cb.get(v, 0)) for v in sorted(ca.keys() | cb.keys())
     )
+    if len_a != len_b:
+        raise ValueError(
+            "cannot compare sequences of lengths %d and %d" % (len_a, len_b)
+        )
+    tag = _TAGS[less_at is None, greater_at is None]
+    return DominanceRelation(tag, less_at, greater_at)
+
+
+def _crossings(
+    counts: Iterable[tuple[int, int]]
+) -> tuple[int | None, int | None, int, int]:
+    # (less_at, greater_at, len(a), len(b)) for sorted sequences a and b
+    # given as (count in a, count in b) per value, in increasing order of
+    # value, by the count test of the module docstring: `have` is A(t) and
+    # `need` is B(t).
+    less_at = greater_at = None
+    have = need = 0
+    for ca, cb in counts:
+        have += ca
+        need += cb
+        if have > need:
+            if less_at is None:
+                less_at = need
+        elif have < need and greater_at is None:
+            greater_at = have
+    return less_at, greater_at, have, need
 
 
 def _layer_counts(g: Graph, allowed: int) -> list[int]:
@@ -275,24 +283,6 @@ def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
     return out
 
 
-def _bound_from_counts(
-    counts: list[int], vcounts: list[int], rest: list[int]
-) -> tuple[bool, bool]:
-    # (holds, equality) of the deletion bound on per-distance counts of
-    # equal length and equal total: g's pairs (counts), v's distances
-    # (vcounts) and g - v's pairs (rest).  Two sorted sequences of equal
-    # length satisfy a <= b coordinatewise exactly when, at every distance
-    # t, a has at least as many entries <= t as b.
-    bound = [a + b for a, b in zip(vcounts, rest)]
-    have = need = 0
-    for c, b in zip(counts, bound):
-        have += c
-        need += b
-        if have < need:
-            return False, False
-    return True, counts == bound
-
-
 def _deletion_bound(
     g: Graph, v: int, counts: list[int], vcounts: list[int]
 ) -> DeletionBoundResult:
@@ -300,7 +290,9 @@ def _deletion_bound(
     if g.n == 1:
         raise ValueError("cannot delete the only vertex")
     others = ((1 << g.n) - 1) & ~(1 << v)
-    holds, equality = _bound_from_counts(counts, vcounts, _layer_counts(g, others))
+    # The bound's count at distance d is v's count plus g - v's count.
+    bound = map(add, vcounts, _layer_counts(g, others))
+    less_at, greater_at, _, _ = _crossings(zip(counts, bound))
     # Neighbours x and y of v are within 2 in g - v when they are adjacent
     # or share a neighbour other than v.
     bits = g.bits
@@ -310,4 +302,5 @@ def _deletion_bound(
         for i, x in enumerate(nbrs)
         for y in nbrs[i + 1:]
     )
-    return DeletionBoundResult(holds, equality, predicted)
+    holds = greater_at is None
+    return DeletionBoundResult(holds, holds and less_at is None, predicted)

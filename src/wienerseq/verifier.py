@@ -242,14 +242,14 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
             violations.append(
                 _violation(record, "deletion_bound", coordinate=v)
             )
-        if k < n:
-            vseq = vertex_distance_sequence(g, v)
-            vrel = compare(vseq, end_vertex_sequence_path_power(n, k))
-            if not vrel.dominated:
-                coord = vrel.greater_at
-                violations.append(
-                    _violation(record, "end_vertex_bound", coord, vseq[coord])
-                )
+        # v has degree k, so k < n
+        vseq = vertex_distance_sequence(g, v)
+        vrel = compare(vseq, end_vertex_sequence_path_power(n, k))
+        if not vrel.dominated:
+            coord = vrel.greater_at
+            violations.append(
+                _violation(record, "end_vertex_bound", coord, vseq[coord])
+            )
     elif n >= k + 1:
         violations.append(_violation(record, "degree_k_vertex", lhs=k))
     return violations

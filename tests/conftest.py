@@ -1,6 +1,6 @@
 """Shared helpers: networkx conversion, oracles (brute-force isomorphism,
-sequence merging, the odd caterpillar's growth) and hypothesis graph
-strategies."""
+brute-force degeneracy, sequence merging, the odd caterpillar's growth)
+and hypothesis graph strategies."""
 
 import itertools
 
@@ -41,6 +41,25 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def brute_force_degeneracy(g: Graph, k: int) -> tuple[bool, bool]:
+    """(k-degenerate, maximal k-degenerate) by definition: g is k-degenerate
+    when no core number (networkx) exceeds k, and maximal when adding any
+    one missing edge breaks that."""
+
+    def degenerate(G: nx.Graph) -> bool:
+        return max(nx.core_number(G).values()) <= k
+
+    G = to_nx(g)
+    if not degenerate(G):
+        return (False, False)
+    for u, v in nx.non_edges(G):
+        H = G.copy()
+        H.add_edge(u, v)
+        if degenerate(H):
+            return (True, False)
+    return (True, True)
 
 
 def merge(a: DistanceSequence, b: DistanceSequence) -> DistanceSequence:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import wienerseq
 from conftest import arbitrary_graphs, connected_graphs
+from wienerseq import complete, enumerate_maximal_planar, indices, verifier
 from wienerseq.cli import main
 from wienerseq.graphs import is_connected, write_graph6
 from wienerseq.indices import INDICES
@@ -291,6 +292,36 @@ def test_explore_flip_and_apollonian(tmp_path, capsys):
     code = main(["explore", "--class", "maximal_planar:6", "--apollonian-only"])
     assert code == 0
     assert "coverage = partial" in capsys.readouterr().out
+
+
+def test_explore_lists_counterexample_candidates(monkeypatch, capsys):
+    # Against K_n in place of the cube of the path, both maximal planar
+    # graphs of order 6 are undominated: explore lists their records and
+    # exits 1.
+    monkeypatch.setattr(verifier, "path_power", lambda n, k: complete(n))
+    code = main(["explore", "--class", "maximal_planar:6"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    records = sorted(write_graph6(g) for g in enumerate_maximal_planar(6))
+    assert out[0] == "counterexample candidates at order 6 (coverage = complete):"
+    assert sorted(out[1:]) == ["  " + r for r in records]
+
+
+def test_compute_evaluates_each_index_once(monkeypatch, capsys):
+    # An exact index is evaluated once and its float read off the exact
+    # value; an index with a float term is evaluated again as a float.
+    calls = []
+    real = indices._value
+
+    def counting(defn, runs):
+        calls.append(defn.name)
+        return real(defn, runs)
+
+    monkeypatch.setattr(indices, "_value", counting)
+    argv = ["compute", "--family", "path:5", "--index", "wiener"]
+    assert main(argv + ["--index", "variable_wiener:0.5"]) == 0
+    assert calls == ["wiener", "variable_wiener", "variable_wiener"]
+    assert "wiener = 20" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arbitrary_graphs, connected_graphs, from_nx, to_nx
+from conftest import (
+    arbitrary_graphs,
+    brute_force_degeneracy,
+    connected_graphs,
+    from_nx,
+    to_nx,
+)
 from wienerseq import (
     DisconnectedGraphError,
     Graph,
@@ -16,6 +22,7 @@ from wienerseq import (
     cycle,
     degeneracy_check,
     distance_matrix,
+    enumerate_connected,
     graph_power,
     is_connected,
     is_cut_vertex,
@@ -219,6 +226,25 @@ def test_k_connected_consistent_with_connectivity(g):
 )
 def test_degeneracy_check_examples(g, k, expected):
     assert degeneracy_check(g, k) == expected
+    assert brute_force_degeneracy(g, k) == expected
+
+
+@given(arbitrary_graphs(max_n=8), st.integers(1, 4))
+@settings(deadline=None)
+def test_degeneracy_check_matches_brute_force(g, k):
+    assert degeneracy_check(g, k) == brute_force_degeneracy(g, k)
+
+
+def test_degeneracy_check_matches_brute_force_on_small_connected_graphs():
+    # Every maximal k-degenerate graph is connected, so this covers all of
+    # them up to order 6 as well as their non-maximal neighbours.
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            for k in range(1, 5):
+                assert degeneracy_check(g, k) == brute_force_degeneracy(g, k), (
+                    write_graph6(g),
+                    k,
+                )
 
 
 @given(connected_graphs(min_n=2, max_n=9), st.integers(1, 3), st.integers(1, 3))

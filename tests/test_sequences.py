@@ -105,29 +105,31 @@ def test_compare_rejects_length_mismatch():
         compare(seq_of([1]), seq_of([1, 2]))
 
 
+def _first(pairs, relation):
+    # The first coordinate i with relation(x[i], y[i]), or None.
+    return next((i for i, (x, y) in enumerate(pairs) if relation(x, y)), None)
+
+
 @given(entry_lists, entry_lists)
 def test_compare_matches_elementwise_oracle(xs, ys):
     if len(xs) != len(ys):
         xs = xs[: len(ys)]
         ys = ys[: len(xs)]
     a, b = seq_of(xs), seq_of(ys)
-    sa, sb = sorted(xs), sorted(ys)
-    le = all(x <= y for x, y in zip(sa, sb))
-    ge = all(x >= y for x, y in zip(sa, sb))
+    pairs = list(zip(sorted(xs), sorted(ys)))
+    less_at = _first(pairs, lambda x, y: x < y)
+    greater_at = _first(pairs, lambda x, y: x > y)
     rel = compare(a, b)
-    if le and ge:
+    if less_at is None and greater_at is None:
         assert rel.tag == Dominance.EQUAL
-    elif le:
+    elif greater_at is None:
         assert rel.tag == Dominance.LESS
-        assert sa[rel.less_at] < sb[rel.less_at]
-        assert all(x == y for x, y in zip(sa[: rel.less_at], sb[: rel.less_at]))
-    elif ge:
+    elif less_at is None:
         assert rel.tag == Dominance.GREATER
-        assert sa[rel.greater_at] > sb[rel.greater_at]
     else:
         assert rel.tag == Dominance.INCOMPARABLE
-        assert sa[rel.less_at] < sb[rel.less_at]
-        assert sa[rel.greater_at] > sb[rel.greater_at]
+    # each reported coordinate is the first one of its kind
+    assert (rel.less_at, rel.greater_at) == (less_at, greater_at)
     mirror = compare(b, a)
     flipped = {
         Dominance.LESS: Dominance.GREATER,
@@ -136,6 +138,7 @@ def test_compare_matches_elementwise_oracle(xs, ys):
         Dominance.INCOMPARABLE: Dominance.INCOMPARABLE,
     }
     assert mirror.tag == flipped[rel.tag]
+    assert (mirror.less_at, mirror.greater_at) == (greater_at, less_at)
 
 
 @given(entry_lists, entry_lists)
@@ -277,10 +280,9 @@ def test_deletion_bounds_match_networkx(g):
 
 @st.composite
 def count_triples(draw):
-    # Per-distance counts of g's pairs, v's distances and g - v's pairs, as
-    # _bound_from_counts takes them: any vectors of one length whose totals
-    # agree, so undominated and incomparable pairs occur too (a real graph
-    # never fails the bound).
+    # Per-distance counts of g's pairs, v's distances and g - v's pairs:
+    # any vectors of one length whose totals agree, so undominated and
+    # incomparable pairs occur too (a real graph never fails the bound).
     size = draw(st.integers(1, 6))
     vector = st.lists(st.integers(0, 4), min_size=size, max_size=size)
     vcounts, rest = draw(vector), draw(vector)
@@ -293,9 +295,7 @@ def count_triples(draw):
 
 
 def _expand(counts):
-    return DistanceSequence.from_entries(
-        d for d, c in enumerate(counts, 1) for _ in range(c)
-    )
+    return [d for d, c in enumerate(counts, 1) for _ in range(c)]
 
 
 @given(count_triples())
@@ -303,12 +303,19 @@ def _expand(counts):
 @example(([3, 0], [1, 0], [1, 1]))  # strictly dominated
 @example(([1, 2], [1, 0], [1, 1]))  # greater
 @example(([1, 2, 0], [1, 0, 1], [1, 0, 0]))  # incomparable
-def test_bound_from_counts_matches_compare_of_the_merge(triple):
+def test_deletion_counts_match_elementwise_oracle(triple):
+    # The count test the deletion bound runs, fed as _deletion_bound feeds
+    # it, against the merged sequence compared entry by entry.
     counts, vcounts, rest = triple
-    rel = compare(_expand(counts), merge(_expand(rest), _expand(vcounts)))
-    assert sequences._bound_from_counts(counts, vcounts, rest) == (
-        rel.dominated,
-        rel.tag == Dominance.EQUAL,
+    whole = _expand(counts)
+    bound = sorted(_expand(vcounts) + _expand(rest))
+    pairs = list(zip(whole, bound))
+    sums = [v + r for v, r in zip(vcounts, rest)]
+    assert sequences._crossings(zip(counts, sums)) == (
+        _first(pairs, lambda x, y: x < y),
+        _first(pairs, lambda x, y: x > y),
+        len(whole),
+        len(bound),
     )
 
 

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from wienerseq import (
+    DeletionBoundResult,
     Dominance,
+    Graph,
     VerificationReport,
     canonical_form,
     canonical_graph,
@@ -22,6 +24,7 @@ from wienerseq import (
     monotone_consistency,
     odd_caterpillar,
     parse_graph6,
+    path,
     path_complete,
     path_power,
     search_maximal_planar,
@@ -90,6 +93,107 @@ def test_k_degenerate_check_reuses_the_deletion_matrix(monkeypatch):
     params = {"n": 7, "k": 2, "class": "maximal_k_degenerate"}
     assert _check_k_degenerate(g, write_graph6(g), params) == []
     assert orders == []
+
+
+def _violation(record, kind, coordinate=None, lhs=None, rhs=None, **index):
+    # A violation as the suites write it, with lhs and rhs as strings.
+    return {
+        "graph6": record,
+        "kind": kind,
+        "coordinate": coordinate,
+        "lhs": lhs,
+        "rhs": rhs,
+    } | index
+
+
+def test_k_degenerate_check_reports_non_members():
+    # C_5 is not 3-connected and has no vertex of degree 3.
+    g = cycle(5)
+    record = write_graph6(g)
+    params = {"n": 5, "k": 3, "class": "maximal_k_degenerate"}
+    assert _check_k_degenerate(g, record, params) == [
+        _violation(record, "k_connectivity", lhs="3"),
+        _violation(record, "degree_k_vertex", lhs="3"),
+    ]
+    # A triangle 0 1 2 with the tail 2 3 4 5 has cut vertices, and its
+    # degree-2 non-cut vertex 0 has distances 1 1 2 3 4, past the 1 1 2 2 3
+    # of an end vertex of P_6^2 first at coordinate 3.
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+    record = write_graph6(g)
+    params = {"n": 6, "k": 2, "class": "maximal_k_degenerate"}
+    assert _check_k_degenerate(g, record, params) == [
+        _violation(record, "k_connectivity", lhs="2"),
+        _violation(record, "end_vertex_bound", 3, lhs="3"),
+    ]
+
+
+def test_k_degenerate_check_reports_a_failed_deletion_bound(monkeypatch):
+    # P_7^2 is a member; with the bound failing everywhere the check names
+    # its first degree-2 non-cut vertex and nothing else.
+    seen = []
+
+    def failing(g, v):
+        seen.append(v)
+        return DeletionBoundResult(False, False, False)
+
+    monkeypatch.setattr(verifier, "deletion_bound_check", failing)
+    g = canonical_graph(path_power(7, 2))
+    record = write_graph6(g)
+    v = min(v for v in range(7) if g.degree(v) == 2 and not is_cut_vertex(g, v))
+    params = {"n": 7, "k": 2, "class": "maximal_k_degenerate"}
+    assert _check_k_degenerate(g, record, params) == [
+        _violation(record, "deletion_bound", v)
+    ]
+    assert seen == [v]
+
+
+def test_index_failures_are_reported_by_dominance(monkeypatch):
+    # With every index check failing and K_n as the extremal graph, K_4 is
+    # equal to its bound and reports internal inconsistencies; every other
+    # connected graph of order 4 is undominated and reports a dominance
+    # violation and index-bound failures.
+    monkeypatch.setattr(verifier, "monotone_consistency", lambda defn, a, b: False)
+    monkeypatch.setattr(verifier, "path_complete", lambda n, m: complete(n))
+    rep = verify_order_size(4)
+    extremal = distance_sequence(complete(4))
+    graphs = list(enumerate_connected(4))
+    assert rep.graphs_checked == len(graphs) == 6
+    for g in graphs:
+        record = write_graph6(g)
+        seq = distance_sequence(g)
+        if g == canonical_graph(complete(4)):
+            kind, want = "internal_inconsistency", []
+        else:
+            c = compare(seq, extremal).greater_at
+            kind = "index_bound"
+            want = [_violation(record, "dominance", c, str(seq[c]), str(extremal[c]))]
+        for defn in _BATTERY:
+            lhs = str(evaluate_exact(defn, seq))
+            rhs = str(evaluate_exact(defn, extremal))
+            want.append(
+                _violation(record, kind, None, lhs, rhs, index=defn.display_name)
+            )
+        got = [v for v in rep.violations if v["graph6"] == record]
+        assert got == sorted(want, key=verifier._violation_sort_key)
+    assert len(rep.violations) == 6 * len(_BATTERY) + 5
+
+
+def test_connectivity_reports_a_wrong_equality_class(monkeypatch):
+    # Expecting P_6 as the equality class of 2-connected graphs of order 6:
+    # C_6 is an unexpected equality, and P_6 is missing from the class.
+    monkeypatch.setattr(verifier, "cycle", path)
+    rep = verify_connectivity(6, 2)
+    cycle_record = write_graph6(canonical_graph(cycle(6)))
+    path_record = write_graph6(canonical_graph(path(6)))
+    assert rep.equality_witnesses == [cycle_record]
+    assert rep.violations == sorted(
+        [
+            _violation(cycle_record, "equality_set", lhs="unexpected equality"),
+            _violation(path_record, "equality_set", lhs="cycle not in equality class"),
+        ],
+        key=verifier._violation_sort_key,
+    )
+    assert not rep.passed
 
 
 def test_battery_runs_once_per_distinct_sequence(monkeypatch):
