@@ -3,8 +3,11 @@
 Subcommands: compute, compare, construct, enumerate, verify, explore.
 Exit codes: 0 success (verification passed / relation comparable),
 1 violation found (or incomparable sequences), 2 usage error,
-3 input error.  Identical configurations produce byte-identical outputs
-apart from the timing fields.
+3 input error.  A ValueError from a spec, a parameter or a range is a usage
+error; unreadable graph input, bad encoding, file errors and failed index
+evaluation are input errors; any other exception is a bug and keeps its
+traceback.  Identical configurations produce byte-identical outputs apart
+from the timing fields.
 """
 
 from __future__ import annotations
@@ -29,16 +32,12 @@ from wienerseq.graphs import (
 from wienerseq.indices import evaluate, evaluate_exact, parse_index_spec
 from wienerseq.sequences import Dominance, compare, distance_sequence
 from wienerseq.specs import parse_spec
-from wienerseq.verifier import SUITES, csv_summary
+from wienerseq.verifier import SUITES, csv_summary, search_maximal_planar
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 class InputError(Exception):
@@ -151,12 +150,7 @@ def _parse_graph_text(text: str) -> Graph:
 
 def _gather_graphs(args: argparse.Namespace) -> list[Graph]:
     graphs = [_load_graph(src) for src in args.input]
-    for spec in args.family:
-        try:
-            graphs.append(parse_family_spec(spec))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return graphs
+    return graphs + [parse_family_spec(spec) for spec in args.family]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -187,14 +181,9 @@ def _header(args: argparse.Namespace) -> dict:
 def _cmd_compute(args: argparse.Namespace) -> int:
     graphs = _gather_graphs(args)
     if len(graphs) != 1:
-        raise UsageError("compute expects exactly one --input or --family")
+        raise ValueError("compute expects exactly one --input or --family")
     g = graphs[0]
-    defs = []
-    for spec in args.index:
-        try:
-            defs.append(parse_index_spec(spec))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    defs = [parse_index_spec(spec) for spec in args.index]
     seq = distance_sequence(g)
     rows = []
     for defn in defs:
@@ -245,7 +234,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     graphs = _gather_graphs(args)
     if len(graphs) != 2:
-        raise UsageError("compare expects exactly two graphs (--input/--family)")
+        raise ValueError("compare expects exactly two graphs (--input/--family)")
     a, b = (distance_sequence(g) for g in graphs)
     try:
         rel = compare(a, b)
@@ -277,7 +266,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     graphs = _gather_graphs(args)
     if len(graphs) != 1 or args.input:
-        raise UsageError("construct expects exactly one --family")
+        raise ValueError("construct expects exactly one --family")
     g = graphs[0]
     if args.fmt == "edgelist":
         lines = [str(g.n)] + ["%d %d" % e for e in g.edges]
@@ -287,24 +276,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_suite_spec(spec: str, table: dict) -> tuple[str, dict]:
-    try:
-        name, values = parse_spec(spec, table, "suite")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return name, dict(zip(table[name].args, values))
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        name, class_args = parse_class_spec(args.klass)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    name, class_args = parse_class_spec(args.klass)
     start = time.monotonic()
-    try:
-        records = [write_graph6(g) for g in enumerate_class(name, class_args)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    records = [write_graph6(g) for g in enumerate_class(name, class_args)]
     elapsed = time.monotonic() - start
     stream = "\n".join(records)
     summary = {
@@ -324,18 +299,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, kwargs: dict, args: argparse.Namespace):
-    try:
-        return SUITES[name].verify(jobs=args.jobs, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     # maximal_planar runs through explore, not verify
     verified = {k: v for k, v in SUITES.items() if k != "maximal_planar"}
-    name, kwargs = _parse_suite_spec(args.suite, verified)
-    report = _run_suite(name, kwargs, args)
+    name, values = parse_spec(args.suite, verified, "suite")
+    report = SUITES[name].verify(*values, jobs=args.jobs)
     doc = report.to_dict() | _header(args)
     if args.fmt == "csv":
         _emit(csv_summary([report]), args.out)
@@ -358,10 +326,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     explored = {"maximal_planar": SUITES["maximal_planar"]}
-    name, kwargs = _parse_suite_spec(args.klass, explored)
-    n = kwargs["n"]
-    kwargs["mode"] = "apollonian" if args.apollonian_only else "flip"
-    report = _run_suite(name, kwargs, args)
+    _, (n,) = parse_spec(args.klass, explored, "suite")
+    mode = "apollonian" if args.apollonian_only else "flip"
+    report = search_maximal_planar(n, mode, jobs=args.jobs)
     doc = report.to_dict() | _header(args)
     if args.out:
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
@@ -382,12 +349,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (
+        GraphFormatError, DisconnectedGraphError, InputError, UnicodeDecodeError, OSError
+    ) as exc:
+        sys.stderr.write("input error: %s\n" % exc)
+        return EXIT_INPUT
+    except ValueError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
-    except (GraphFormatError, DisconnectedGraphError, InputError) as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    except OSError as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT

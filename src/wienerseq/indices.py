@@ -133,8 +133,12 @@ def gen_hyper_wiener(lam: float) -> IndexDefinition:
     """Sum of (d^lam + d^(2 lam)) / 2."""
     _check_exponent("gen_hyper_wiener", lam)
     if float(lam).is_integer():
-        once, twice = _power(lam), _power(2 * lam)
-        term = lambda d: Fraction(once(d) + twice(d), 2)
+        # d^(2 lam) as (d^lam)^2: 2 * lam overflows to inf for |lam| >= 2^1023
+        once = _power(lam)
+
+        def term(d: int) -> Fraction:
+            p = once(d)
+            return Fraction(p + p ** 2, 2)
     else:
         term = lambda d: (float(d) ** lam + float(d) ** (2 * lam)) / 2.0
     return IndexDefinition(

@@ -161,6 +161,17 @@ def test_compare_incomparable_exits_one(capsys):
     assert doc["less_at"] == 12 and doc["greater_at"] == 17
 
 
+def test_compare_incomparable_text_names_both_coordinates(capsys):
+    a, b = INCOMPARABLE
+    assert main(["compare", "--input", a, "--input", b]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == [
+        "relation: incomparable",
+        "first strictly smaller coordinate: 12",
+        "first strictly larger coordinate: 17",
+    ]
+
+
 def test_compare_mixed_orders_is_input_error(capsys):
     assert main(["compare", "--family", "path:4", "--family", "path:5"]) == 3
 
@@ -345,6 +356,8 @@ def test_compute_evaluates_each_index_once(monkeypatch, capsys):
         (["compute", "--family", "cycle:7", "--index", "gen_hyper_wiener:-20000"], 3),
         (["compute", "--family", "cycle:7", "--index", "gen_hyper_wiener:-20000",
           "--format", "json"], 3),
+        (["compare", "--family", "path:4"], 2),
+        (["compare", "--family", "path:4", "--family", "path:4", "--family", "path:4"], 2),
     ],
 )
 def test_bad_spec_or_input_exit_code(argv, code, capsys):
@@ -381,11 +394,55 @@ def test_jobs_flag_validation(capsys):
     assert main(["verify", "--suite", "deletion:3", "--jobs", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "deletion:4"],
+        ["compute", "--family", "path:4"],
+        ["enumerate", "--class", "connected:3"],
+        ["explore", "--class", "maximal_planar:4"],
+    ],
+)
+def test_unwritable_out_path_is_input_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [Errno 2] ")
+    assert str(target) in err
+
+
+def test_undecodable_input_exits_three(tmp_path, capsys, monkeypatch):
+    # A UTF-16 byte order mark is not UTF-8, from a file or from stdin.
+    src = tmp_path / "g.el"
+    src.write_bytes(b"\xff\xfe4\x00\n\x000\x00 \x001\x00\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    for source in (str(src), "-"):
+        assert main(["compute", "--input", source]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff"), err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [sign + x for x in ("1e308", "8.98846567431158e307", "1.7976931348623157e308")
+     for sign in ("", "-")],
+)
+def test_gen_hyper_wiener_largest_exponents_on_diameter_one(lam, capsys):
+    # 2 * lambda overflows to inf here, yet every distance of K_4 is 1
+    argv = ["compute", "--family", "complete:4", "--index", "gen_hyper_wiener:" + lam]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" = 6")
+
+
 @st.composite
 def graph_documents(draw):
-    """(text, graph): a graph6 record or edge list of a drawn graph, or
-    arbitrary text with graph None."""
-    form = draw(st.sampled_from(("graph6", "edgelist", "text")))
+    """(document, graph): a graph6 record or edge list of a drawn graph, or
+    arbitrary text or bytes with graph None."""
+    form = draw(st.sampled_from(("graph6", "edgelist", "text", "bytes")))
+    if form == "bytes":
+        # mostly not UTF-8: a file or stdin that cannot be decoded
+        return draw(st.binary(max_size=64)), None
     if form == "text":
         # Up to 64 characters, room for a first line of 10^60 vertices:
         # an edge list that declares more than twice as many vertices as
@@ -409,6 +466,14 @@ index_specs = st.one_of(
 )
 
 
+def _decodes(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 @given(
     graph_documents(),
     st.sampled_from(("inline", "stdin", "file")),
@@ -417,20 +482,25 @@ index_specs = st.one_of(
 @settings(deadline=None, max_examples=200)
 def test_compute_input_paths_map_bad_input_to_exit_codes(document, via, specs):
     text, g = document
+    data = text if isinstance(text, bytes) else text.encode()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         # every path gets the document on stdin, so an inline "-" reads it too
-        mp.setattr(sys, "stdin", io.StringIO(text))
-        source = {"inline": text, "stdin": "-"}.get(via)
+        mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        # an argument carries undecodable bytes as surrogates
+        source = {"inline": data.decode("utf-8", "surrogateescape"), "stdin": "-"}.get(via)
         if via == "file":
             source = os.path.join(tmp, "graph.txt")
-            with open(source, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(source, "wb") as fh:
+                fh.write(data)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["compute", "--input=" + source] + ["--index=" + s for s in specs])
     assert code in (0, 2, 3)
     if code:
         assert err.getvalue().startswith(ERROR_PREFIX[code]), err.getvalue()
+    # a file or stdin that is not UTF-8 fails as input before any spec is read
+    if via != "inline" and not _decodes(data):
+        assert code == 3, err.getvalue()
     # a drawn graph survives every path that reads its form
     if g is not None and (via != "inline" or text == write_graph6(g)):
         if not specs:

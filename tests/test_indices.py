@@ -156,6 +156,25 @@ def test_exact_value_past_the_size_bound_rejected(make):
     assert evaluate(make(-1e8 - 0.5), seq) == 7.0
 
 
+# The largest doubles: 2 * lam overflows to inf for each of them.
+HUGE_EXPONENTS = (1e308, 2.0**1023, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("lam", HUGE_EXPONENTS + tuple(-x for x in HUGE_EXPONENTS))
+def test_gen_hyper_wiener_takes_the_largest_exponents_on_diameter_one(lam):
+    # Every distance of K_4 is 1, so every term is (1 + 1) / 2 = 1.
+    seq = distance_sequence(complete(4))
+    assert evaluate_exact(gen_hyper_wiener(lam), seq) == 6
+    assert evaluate(gen_hyper_wiener(lam), seq) == 6.0
+
+
+@given(st.integers(1, 12), st.integers(-40, 40).filter(bool))
+def test_gen_hyper_wiener_exact_term_is_the_two_powers(d, lam):
+    term = gen_hyper_wiener(lam).term(d)
+    assert isinstance(term, Fraction)
+    assert term == (Fraction(d) ** lam + Fraction(d) ** (2 * lam)) / 2
+
+
 @pytest.mark.parametrize(
     "spec,name,lam",
     [

@@ -101,3 +101,41 @@ def test_no_unused_imports():
                     if name not in read:
                         unused.append("%s: %s" % (path.name, name))
     assert not unused, "imported but never read: %s" % ", ".join(unused)
+
+
+def _caught(handler: ast.ExceptHandler, module) -> list[type]:
+    # The exception classes an except clause names, looked up in the module.
+    if handler.type is None:
+        return [BaseException]
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [eval(compile(ast.Expression(node), "<except>", "eval"), vars(module))
+            for node in nodes]
+
+
+def test_cli_maps_value_errors_to_exit_codes_in_main_alone():
+    # main turns a ValueError into exit 2 and an input error into exit 3.
+    # Elsewhere in cli.py a clause that catches a ValueError exists only to
+    # make it an input error, so it raises InputError and nothing else.
+    from wienerseq import cli
+
+    path = Path(cli.__file__)
+    handlers = [
+        node
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "main")
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    wrong = []
+    for handler in handlers:
+        if not any(issubclass(ValueError, c) or issubclass(c, ValueError)
+                   for c in _caught(handler, cli)):
+            continue
+        raised = [sub.exc for sub in ast.walk(handler) if isinstance(sub, ast.Raise)]
+        if not raised or not all(
+            isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id == "InputError"
+            for exc in raised
+        ):
+            wrong.append(handler.lineno)
+    assert not wrong, "cli.py: no InputError raised at lines %s" % sorted(wrong)
