@@ -26,7 +26,11 @@ new vertex is a canonical deletion (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998), described below.  All graphs of
 order n attach a new vertex with any neighborhood to a graph of order
 n - 1, and Apollonian networks insert it into a triangular face.  Odd trees
-of order n hang two leaves on one vertex of an odd tree of order n - 2.
+of order n hang two leaves on one vertex of an odd tree of order n - 2;
+the children are first deduplicated by their tree code, the AHU code
+(Aho, Hopcroft & Ullman 1974) rooted at the tree's centre, which is equal
+for two trees exactly when they are isomorphic, so only one child per
+class is labeled.
 Sphere triangulations close the Apollonian networks under diagonal flips.
 Faces are derived from the graph, not carried beside it: in a maximal
 planar graph of order at least 4 they are the triangles whose removal
@@ -69,8 +73,8 @@ the set.  The rule is decided from the parent's masks and the new
 neighbourhood, so a rejected child costs no Graph and no labeling.  Not
 filtered: all graphs, whose deletable vertices (non-cut vertices of
 connected graphs) wait on a growth from connected parents; odd trees,
-which label few children; and the flips of the triangulation closure,
-which add no vertex.
+which label one child per class by their tree code; and the flips of the
+triangulation closure, which add no vertex.
 """
 
 from __future__ import annotations
@@ -233,12 +237,18 @@ def canonical_form(g: Graph) -> str:
 
 
 def _grow(
-    parents: Iterable[Graph], children: Callable[[Graph], Iterable[Graph]]
+    parents: Iterable[Graph],
+    children: Callable[[Graph], Iterable[Graph]],
+    key: Callable[[Graph], object] | None = None,
 ) -> tuple[Graph, ...]:
     # One canonical representative per isomorphism class among the children
     # of all parents.  Classes are compared as Graphs; graph6 only sorts the
-    # kept ones, by (size, record).
-    kept = {canonical_graph(h) for g in parents for h in children(g)}
+    # kept ones, by (size, record).  A key that is a complete isomorphism
+    # invariant of the children lets one child per key value be labeled.
+    kids: Iterable[Graph] = (h for g in parents for h in children(g))
+    if key is not None:
+        kids = {key(h): h for h in kids}.values()
+    kept = {canonical_graph(h) for h in kids}
     return tuple(sorted(kept, key=lambda g: (g.m, write_graph6(g))))
 
 
@@ -370,15 +380,43 @@ def enumerate_maximal_k_degenerate(n: int, k: int) -> Iterator[Graph]:
         yield g
 
 
+def _tree_code(bits: tuple[int, ...]) -> str:
+    # AHU code of the tree with masks bits, rooted at its centre: a vertex
+    # is "(" + its children's codes in sorted order + ")".  The centre is
+    # what stripping all leaves, round after round, leaves: one vertex, or
+    # two adjacent ones, whose half-trees' codes are written as a sorted
+    # pair.  Two trees get the same code exactly when they are isomorphic.
+    rest = (1 << len(bits)) - 1
+    while rest.bit_count() > 2:
+        rest &= ~sum(
+            1 << v for v in _iter_bits(rest) if (bits[v] & rest).bit_count() == 1
+        )
+
+    def code(v: int, parent: int) -> str:
+        below = bits[v] & ~parent
+        if not below:
+            # A leaf, which most vertices of an odd tree are.
+            return "()"
+        return "(" + "".join(sorted([code(u, 1 << v) for u in _iter_bits(below)])) + ")"
+
+    centre = list(_iter_bits(rest))
+    if len(centre) == 1:
+        return code(centre[0], 0)
+    a, b = centre
+    return "".join(sorted((code(a, 1 << b), code(b, 1 << a))))
+
+
 @lru_cache(maxsize=None)
 def _odd_trees(n: int) -> tuple[Graph, ...]:
     # A deepest internal vertex has an even number (at least two) of leaf
     # children, so removing two of them leaves an odd tree of order n - 2.
+    # Children are deduplicated by tree code, so each class is labeled once.
     if n == 2:
         return (Graph(2, [(0, 1)]),)
     return _grow(
         _odd_trees(n - 2),
         lambda g: (_attach(_attach(g, 1 << v), 1 << v) for v in range(g.n)),
+        lambda h: _tree_code(h.bits),
     )
 
 

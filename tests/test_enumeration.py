@@ -7,6 +7,7 @@ triangulations.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import networkx as nx
@@ -180,6 +181,26 @@ def test_growth_labels_only_canonical_deletions(monkeypatch):
     assert len(calls) == 743
 
 
+def test_odd_tree_growth_labels_each_class_once(monkeypatch):
+    # Children are deduplicated by tree code, so each level labels one child
+    # per class: odd trees of orders 4..12 label 1 + 2 + 3 + 7 + 13 = 26
+    # children, not the n - 2 leaf-pair children of each parent of order
+    # n - 2, 1·2 + 1·4 + 2·6 + 3·8 + 7·10 = 112; order 14 adds 32, not
+    # 13·12 = 156, so 58 in all, not 268.
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_graph(g)
+
+    monkeypatch.setattr(enumeration, "canonical_graph", counting)
+    enumeration._odd_trees.cache_clear()
+    assert len(enumeration._odd_trees(12)) == 13
+    assert len(calls) == 26
+    assert len(enumeration._odd_trees(14)) == 32
+    assert len(calls) == 58
+
+
 def _stacked_children(k, cliques):
     # Every child of the stacked growth: a new vertex on any k vertices, or
     # on any k-clique, with no deletion rule.
@@ -350,6 +371,73 @@ def test_odd_trees_equal_filtered_trees():
         grown = {canonical_form(g) for g in enumerate_odd_trees(n)}
         filtered = {canonical_form(g) for g in enumerate_k_trees(n, 1) if is_odd_tree(g)}
         assert grown == filtered
+
+
+def _leaf_pair_children(g):
+    # Every child of the odd-tree growth: two leaves hung on any vertex.
+    for v in range(g.n):
+        yield enumeration._attach(enumeration._attach(g, 1 << v), 1 << v)
+
+
+def test_code_keyed_odd_trees_drop_no_class():
+    # The oracle labels every leaf-pair child; keying the children by tree
+    # code must keep the same classes, in the same order, at every order.
+    level = (Graph(2, [(0, 1)]),)
+    for n in range(4, 15, 2):
+        level = enumeration._grow(level, _leaf_pair_children)
+        assert enumeration._odd_trees(n) == level, n
+
+
+def _prufer_tree(seq):
+    # The labeled tree on len(seq) + 2 vertices with Prüfer sequence seq.
+    n = len(seq) + 2
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return Graph(n, edges)
+
+
+def test_tree_code_is_relabel_invariant():
+    rng = random.Random(20)
+    for n in range(2, 17):
+        for _ in range(10):
+            g = _prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+            order = list(range(n))
+            rng.shuffle(order)
+            h = relabel(g, tuple(order))
+            assert enumeration._tree_code(h.bits) == enumeration._tree_code(g.bits)
+
+
+@pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
+def test_tree_code_separates_tree_classes(n, count):
+    # As many codes as classes (A000055), so no two classes share a code.
+    codes = {enumeration._tree_code(g.bits) for g in enumerate_k_trees(n, 1)}
+    assert len(codes) == count
+
+
+def test_tree_code_edge_cases():
+    code = enumeration._tree_code
+    # One vertex and one edge: one centre, then two.
+    assert code(Graph(1).bits) == "()"
+    assert code(path(2).bits) == "()()"
+    # An odd path has one centre; an even path has two, with equal halves.
+    assert code(path(5).bits) == "((())(()))"
+    assert code(path(6).bits) == "((()))((()))"
+    # Double stars: two centres, the half-trees sorted, so the side that
+    # carries more leaves does not matter.
+    double_star = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+    assert code(double_star.bits) == "(()()())(()())"
+    assert code(relabel(double_star, (1, 0, 4, 5, 6, 2, 3)).bits) == code(
+        double_star.bits
+    )
+    assert code(star(7).bits) == "(()()()()()())"
 
 
 @pytest.mark.parametrize("n,count", sorted(APOLLONIAN_COUNTS.items()))
