@@ -32,7 +32,12 @@ from wienerseq.graphs import (
 from wienerseq.indices import evaluate, evaluate_exact, parse_index_spec
 from wienerseq.sequences import Dominance, compare, distance_sequence
 from wienerseq.specs import parse_spec
-from wienerseq.verifier import SUITES, csv_summary, search_maximal_planar
+from wienerseq.verifier import (
+    SUITES,
+    VerificationReport,
+    csv_summary,
+    search_maximal_planar,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -309,19 +314,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit(csv_summary([report]), args.out)
     else:
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    _summarize(report, args.suite)
+    return EXIT_OK if report.passed else EXIT_VIOLATION
+
+
+def _summarize(report: VerificationReport, spec: str) -> None:
     status = "PASS" if report.passed else "FAIL"
     sys.stderr.write(
         "%s %s: %d graphs, %d violations, %d equality witnesses (%.2fs)\n"
         % (
             status,
-            args.suite,
+            spec,
             report.graphs_checked,
             len(report.violations),
             len(report.equality_witnesses),
             report.elapsed_s,
         )
     )
-    return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -341,6 +350,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print("  %s" % record)
     else:
         print("no counterexample at order %d, coverage = %s" % (n, report.coverage))
+    _summarize(report, args.klass)
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 

@@ -339,7 +339,8 @@ def _cliques(adj: tuple[int, ...], k: int, within: int) -> Iterator[int]:
 def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
     # K_n up to order k + 1; above it, each new vertex is attached to k
     # vertices, which must form a clique when cliques is set (k-trees).  The
-    # k-sets of vertices are the k-cliques of the complete graph.
+    # k-sets of vertices are the k-cliques of the complete graph.  For k = 1
+    # the children are trees, deduplicated by tree code before labeling.
     if n <= k + 1:
         return (Graph(n, itertools.combinations(range(n), 2)),)
     full = (1 << n - 1) - 1
@@ -348,6 +349,7 @@ def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
         lambda g: _canonical_children(
             g, k, _cliques(g.bits if cliques else (full,) * g.n, k, full)
         ),
+        (lambda h: _tree_code(h.bits)) if k == 1 else None,
     )
 
 

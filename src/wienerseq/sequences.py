@@ -23,10 +23,22 @@ B(t) > A(t); a <= b when there is no such larger coordinate, and a == b
 when there is neither.  ``compare`` reads the counts off the runs of its
 two sequences.  The deletion bound reads them off per-distance counts,
 never merged sequences: the bound's count at distance d is v's count plus
-g - v's count.  ``deletion_bounds`` counts g's pairs once and reads v's
-counts from row v of one distance matrix of g, so each non-cut vertex
-costs one layer count of g - v.  At a single vertex v, v's counts are the
-layer sizes of one BFS from v.
+g - v's count.  At a single vertex v, v's counts are the layer sizes of
+one BFS from v.
+
+``deletion_bounds`` reads every row of one distance matrix of g, and
+searches g - v only from the sources whose distances deleting v changes.
+Let v be at distance k from a source s.  Deleting v changes some distance
+from s exactly when some vertex t at distance k + 1 has v as its only
+neighbour at distance k: then every shortest s-t path runs through v;
+otherwise every vertex of each layer keeps a parent outside v in the
+layer before, so by induction on the distance every vertex keeps its
+distance.  Every other source's distances in g - v are its row of the
+matrix without v.  A cut vertex v is such a sole parent from every other
+source, so the first search of g - v fails exactly when v is a cut
+vertex.  The equality predicate needs no more: every two neighbours of v
+are within 2 in g - v exactly when deleting v changes no distance, since
+a shortest path through x, v, y can then run through x, w, y instead.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs,
 and comparisons never expand them.
@@ -36,12 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from wienerseq.graphs import (
     DisconnectedGraphError,
     Graph,
+    _iter_bits,
     _layers,
     distance_matrix,
 )
@@ -250,49 +263,20 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     """
     if not (0 <= v < g.n):
         raise ValueError("vertex %r out of range" % (v,))
+    if g.n == 1:
+        raise ValueError("cannot delete the only vertex")
     # v's BFS runs first, so a disconnected g raises with the pair
     # (v, lowest vertex unreached from v).  g is then connected, so the
     # only BFS that can fail later is g - v's first one, exactly when v is
     # a cut vertex.
     vcounts = _vertex_counts(g, v)
-    counts = _layer_counts(g, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    counts = _layer_counts(g, full)
+    others = full & ~(1 << v)
     try:
-        return _deletion_bound(g, v, counts, vcounts)
+        rest = _layer_counts(g, others)
     except DisconnectedGraphError:
         raise ValueError("vertex %d is a cut vertex" % v) from None
-
-
-def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
-    """``deletion_bound_check(g, v)`` at every non-cut vertex v.
-
-    The bound is checked on per-distance counts: g's pair counts are
-    counted once, v's counts are read from row v of one distance matrix of
-    g, and g - v's pair counts come from layer counts on the other
-    vertices, whose first BFS fails exactly when v is a cut vertex.
-    """
-    dm = distance_matrix(g)
-    counts = _layer_counts(g, (1 << g.n) - 1)
-    distances = range(1, g.n)
-    out = {}
-    for v in range(g.n):
-        row = dm.d[v]
-        try:
-            out[v] = _deletion_bound(g, v, counts, [row.count(d) for d in distances])
-        except DisconnectedGraphError:
-            pass  # g - v is disconnected: v is a cut vertex
-    return out
-
-
-def _deletion_bound(
-    g: Graph, v: int, counts: list[int], vcounts: list[int]
-) -> DeletionBoundResult:
-    # counts are g's pair counts per distance, vcounts v's distance counts.
-    if g.n == 1:
-        raise ValueError("cannot delete the only vertex")
-    others = ((1 << g.n) - 1) & ~(1 << v)
-    # The bound's count at distance d is v's count plus g - v's count.
-    bound = map(add, vcounts, _layer_counts(g, others))
-    less_at, greater_at, _, _ = _crossings(zip(counts, bound))
     # Neighbours x and y of v are within 2 in g - v when they are adjacent
     # or share a neighbour other than v.
     bits = g.bits
@@ -302,5 +286,84 @@ def _deletion_bound(
         for i, x in enumerate(nbrs)
         for y in nbrs[i + 1:]
     )
+    return _deletion_bound(counts, vcounts, rest, predicted)
+
+
+def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
+    """``deletion_bound_check(g, v)`` at every non-cut vertex v.
+
+    The bound is checked on per-distance counts read off one distance
+    matrix of g: row s gives the layer sizes of source s, their sums give
+    g's pair counts, and row v gives v's counts.  g - v is searched only
+    from the sources s whose distances deleting v changes, those where v,
+    at distance k from s, is the only neighbour at distance k of some
+    vertex at distance k + 1.  Otherwise every vertex keeps a parent other
+    than v one layer closer, so by induction no distance from s changes,
+    and s counts its row without v.  A cut vertex is such a sole parent
+    from every other source, so the first search of g - v fails exactly
+    when v is a cut vertex.  Equality is predicted exactly when no
+    source's distances change.
+    """
+    if g.n == 1:
+        raise ValueError("cannot delete the only vertex")
+    dm = distance_matrix(g)
+    rows, hits = zip(*(_source_layers(g.bits, dist) for dist in dm.d))
+    # Ordered pair counts of g: each pair once from each end.
+    ordered = [sum(column) for column in zip(*rows)]
+    counts = [c // 2 for c in ordered]
+    # changed[v]: the mask of the sources whose distances deleting v changes
+    changed = [0] * g.n
+    for s, hit in enumerate(hits):
+        for v in _iter_bits(hit):
+            changed[v] |= 1 << s
+    full = (1 << g.n) - 1
+    out = {}
+    for v, vcounts in enumerate(rows):
+        allowed = full & ~(1 << v)
+        # Ordered counts of g - v: drop v's pairs from both ends, then
+        # replace the row of every source whose distances change.
+        rest = [c - 2 * x for c, x in zip(ordered, vcounts)]
+        try:
+            for s in _iter_bits(changed[v]):
+                rest = list(map(sub, rest, rows[s]))
+                rest[dm.d[s][v] - 1] += 1  # the pair (s, v), dropped twice
+                for d, layer in enumerate(_layers(g.bits, s, allowed)):
+                    rest[d] += layer.bit_count()
+        except DisconnectedGraphError:
+            continue  # g - v is disconnected: v is a cut vertex
+        # Every two neighbours of v are within 2 in g - v exactly when no
+        # distance changes (see the module docstring).
+        rest = [c // 2 for c in rest]
+        out[v] = _deletion_bound(counts, vcounts, rest, not changed[v])
+    return out
+
+
+def _source_layers(
+    bits: tuple[int, ...], dist: tuple[int, ...]
+) -> tuple[list[int], int]:
+    # (layer sizes, hit) for the source whose matrix row is dist: entry
+    # d - 1 of the sizes is the number of vertices at distance d, and hit
+    # is the mask of the sole parents, the vertices that are the only
+    # neighbour one layer closer of some vertex.  Vertices at distance 1
+    # are skipped: their one parent is the source itself.
+    layers = [0] * len(dist)
+    for t, d in enumerate(dist):
+        layers[d] |= 1 << t
+    hit = 0
+    for b, d in zip(bits, dist):
+        if d > 1:
+            parents = b & layers[d - 1]
+            if not parents & (parents - 1):
+                hit |= parents
+    return list(map(int.bit_count, layers[1:])), hit
+
+
+def _deletion_bound(
+    counts: list[int], vcounts: list[int], rest: list[int], predicted: bool
+) -> DeletionBoundResult:
+    # counts are g's pair counts per distance, vcounts v's distance counts
+    # and rest g - v's pair counts.  The bound's count at distance d is v's
+    # count plus g - v's count.
+    less_at, greater_at, _, _ = _crossings(zip(counts, map(add, vcounts, rest)))
     holds = greater_at is None
     return DeletionBoundResult(holds, holds and less_at is None, predicted)

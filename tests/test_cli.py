@@ -305,6 +305,20 @@ def test_explore_flip_and_apollonian(tmp_path, capsys):
     assert "coverage = partial" in capsys.readouterr().out
 
 
+def test_explore_reports_counts_like_verify(capsys):
+    # The 2 maximal planar graphs of order 6 pass, and both have 12 edges
+    # and diameter 2, so both equal P_6^3's sequence.
+    code = main(["explore", "--class", "maximal_planar:6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "no counterexample at order 6, coverage = complete\n"
+    assert re.fullmatch(
+        r"PASS maximal_planar:6: 2 graphs, 0 violations, 2 equality witnesses"
+        r" \(\d+\.\d\ds\)\n",
+        captured.err,
+    )
+
+
 def test_explore_lists_counterexample_candidates(monkeypatch, capsys):
     # Against K_n in place of the cube of the path, both maximal planar
     # graphs of order 6 are undominated: explore lists their records and

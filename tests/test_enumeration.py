@@ -201,6 +201,23 @@ def test_odd_tree_growth_labels_each_class_once(monkeypatch):
     assert len(calls) == 58
 
 
+def test_tree_chain_labels_each_class_once(monkeypatch):
+    # For k = 1 the stacked chain grows trees, keyed by tree code, so each
+    # order labels one child per class: the trees of orders 3..10 (A000055)
+    # are 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 = 199 classes and labelings,
+    # not the 301 canonical-deletion children.
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_graph(g)
+
+    monkeypatch.setattr(enumeration, "canonical_graph", counting)
+    enumeration._stacked.cache_clear()
+    assert len(enumeration._stacked(10, 1, False)) == 106
+    assert len(calls) == 199
+
+
 def _stacked_children(k, cliques):
     # Every child of the stacked growth: a new vertex on any k vertices, or
     # on any k-clique, with no deletion rule.

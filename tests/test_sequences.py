@@ -13,11 +13,13 @@ from wienerseq import (
     Graph,
     canonical_graph,
     compare,
+    complete,
     cycle,
     deletion_bound_check,
     deletion_bounds,
     distance_matrix,
     distance_sequence,
+    enumerate_connected,
     is_cut_vertex,
     path,
     relabel,
@@ -276,6 +278,86 @@ def test_deletion_bounds_match_networkx(g):
         assert res.equality == (whole == bound)
         assert res.predicted_equality == predicted
         assert list(vertex_distance_sequence(g, v)) == from_v
+
+
+def test_deletion_bounds_match_the_slow_check_on_every_graph_to_order_7():
+    # All 1 + 2 + 6 + 21 + 112 + 853 = 995 connected graphs of orders 2..7:
+    # the searches of g - v from the changed sources only agree with
+    # deletion_bound_check, which counts g - v from every source.
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    assert len(graphs) == 995
+    for g in graphs:
+        assert deletion_bounds(g) == {
+            v: deletion_bound_check(g, v)
+            for v in range(g.n)
+            if not is_cut_vertex(g, v)
+        }
+
+
+def _assert_hits_are_changed_sources(g):
+    # v is a sole parent from s exactly when deleting v changes some
+    # distance from s; a vertex that g - v cannot reach counts as changed.
+    G = to_nx(g)
+    dm = distance_matrix(g)
+    for s in range(g.n):
+        _, hit = sequences._source_layers(g.bits, dm.d[s])
+        assert not hit >> s & 1
+        for v in set(range(g.n)) - {s}:
+            reached = nx.single_source_shortest_path_length(G.subgraph(set(G) - {v}), s)
+            changed = any(
+                reached.get(t) != dm.d[s][t] for t in range(g.n) if t != v
+            )
+            assert bool(hit >> v & 1) == changed, (write_graph6(g), s, v)
+
+
+def test_sole_parents_are_the_changed_sources_to_order_6():
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            _assert_hits_are_changed_sources(g)
+
+
+@given(connected_graphs(min_n=1, max_n=9))
+@settings(deadline=None)
+def test_sole_parents_are_the_changed_sources(g):
+    _assert_hits_are_changed_sources(g)
+
+
+def _searches(monkeypatch, graphs):
+    # The number of BFS of g - v that deletion_bounds runs over the graphs:
+    # the matrix of g is built in graphs, so every BFS run through
+    # sequences._layers is a search of some g - v.
+    calls = []
+    real = sequences._layers
+
+    def counting(bits, src, allowed):
+        calls.append(src)
+        return real(bits, src, allowed)
+
+    monkeypatch.setattr(sequences, "_layers", counting)
+    for g in graphs:
+        deletion_bounds(g)
+    return len(calls)
+
+
+def test_deletion_bounds_search_only_changed_sources(monkeypatch):
+    for n in range(2, 9):
+        # K_n has diameter 1, so no vertex is a sole parent.
+        assert _searches(monkeypatch, [complete(n)]) == 0
+        # P_n: every internal vertex is a cut vertex, and its first search
+        # fails; an end is no vertex's only parent.
+        assert _searches(monkeypatch, [path(n)]) == n - 2
+    for n in range(3, 12):
+        # From each source of C_n, with r = n // 2, every vertex at distance
+        # k < r is the only parent of the next vertex on its side, except
+        # at k = r - 1 for even n, where both sides meet at the antipode.
+        # So n - 3 (odd n) or n - 4 (even n) sources change per vertex.
+        per_vertex = n - 3 if n % 2 else n - 4
+        assert _searches(monkeypatch, [cycle(n)]) == n * per_vertex
+    # The 853 graphs of the deletion:7 suite search g - v 3,198 times.
+    # Searching from every source but v and the last one would take 5 for
+    # each of the 5,396 non-cut vertices and 1 for each of the 575 cut
+    # vertices, 27,555 in all.
+    assert _searches(monkeypatch, enumerate_connected(7)) == 3198
 
 
 @st.composite

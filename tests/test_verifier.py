@@ -305,16 +305,15 @@ def test_deletion_suite_reports_failures(monkeypatch):
     # Make g - v look one distance shorter (pairs at distance d >= 2 count
     # at d - 1) while g keeps its own counts.  The bound then fails at some
     # vertices, and equality fails wherever the predicate still predicts it.
-    real = sequences._layer_counts
+    real = sequences._deletion_bound
 
-    def shorter(g, allowed):
-        counts = real(g, allowed)
-        if allowed == (1 << g.n) - 1 or len(counts) < 2:
-            return counts
-        return [counts[0] + counts[1]] + counts[2:] + [0]
+    def shorter(counts, vcounts, rest, predicted):
+        if len(rest) >= 2:
+            rest = [rest[0] + rest[1]] + rest[2:] + [0]
+        return real(counts, vcounts, rest, predicted)
 
-    monkeypatch.setattr(sequences, "_layer_counts", shorter)
-    # the forked pool workers of jobs=4 inherit the patched _layer_counts
+    monkeypatch.setattr(sequences, "_deletion_bound", shorter)
+    # the forked pool workers of jobs=4 inherit the patched _deletion_bound
     reports = [verify_deletion_bound(5, jobs=j) for j in (1, 4)]
     assert reports[0].to_json(include_meta=False) == reports[1].to_json(
         include_meta=False
