@@ -60,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, *formats: str, inputs: bool = False) -> None:
+    def add_io(
+        p: argparse.ArgumentParser, *formats: str, inputs: bool = False, families: bool = False
+    ) -> None:
         if inputs:
             p.add_argument(
                 "--input",
@@ -69,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 metavar="SRC",
                 help="graph source: a file path, an inline graph6 record, or - for stdin",
             )
+        if families:
             p.add_argument(
                 "--family",
                 action="append",
@@ -84,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="distance sequence and index values of one graph")
     p.set_defaults(handler=_cmd_compute)
-    add_io(p, "text", "json", inputs=True)
+    add_io(p, "text", "json", inputs=True, families=True)
     p.add_argument(
         "--index",
         action="append",
@@ -95,11 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="dominance comparison of two graphs")
     p.set_defaults(handler=_cmd_compare)
-    add_io(p, "text", "json", inputs=True)
+    add_io(p, "text", "json", inputs=True, families=True)
 
     p = sub.add_parser("construct", help="emit a constructed family member")
     p.set_defaults(handler=_cmd_construct)
-    add_io(p, "graph6", "edgelist", inputs=True)
+    add_io(p, "graph6", "edgelist", families=True)
 
     p = sub.add_parser("enumerate", help="stream a graph class as graph6 records")
     p.set_defaults(handler=_cmd_enumerate)
@@ -224,14 +227,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             "graph: n=%d m=%d" % (g.n, g.m),
             "distance sequence: %s" % seq.to_text(),
         ]
-        for entry in rows:
-            shown = entry["name"]
-            if "lambda" in entry:
-                shown = "%s:%g" % (shown, entry["lambda"])
-            if "exact_value" in entry:
-                lines.append("%s = %s" % (shown, entry["exact_value"]))
-            else:
-                lines.append("%s = %.12g" % (shown, entry["value"]))
+        for defn, entry in zip(defs, rows):
+            value = entry.get("exact_value", "%.12g" % entry["value"])
+            lines.append("%s = %s" % (defn.display_name, value))
         _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -269,10 +267,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    graphs = _gather_graphs(args)
-    if len(graphs) != 1 or args.input:
+    if len(args.family) != 1:
         raise ValueError("construct expects exactly one --family")
-    g = graphs[0]
+    g = parse_family_spec(args.family[0])
     if args.fmt == "edgelist":
         lines = [str(g.n)] + ["%d %d" % e for e in g.edges]
         _emit("\n".join(lines), args.out)

@@ -104,6 +104,18 @@ ODD_TREE_MAX_N = 14
 MAXIMAL_PLANAR_MAX_N = 9
 
 
+def _check_range(
+    what: str, value: int, low: int, high: int | None = None, step: int = 1
+) -> None:
+    # The range rule of every enumerator: value is one of low, low + step,
+    # ... up to high, with no upper end when high is None.
+    if value < low or high is not None and value > high or (value - low) % step:
+        span = "%d..%s" % (low, "" if high is None else high)
+        if step > 1:
+            span += " step %d" % step
+        raise ValueError("%s must be in %s, got %r" % (what, span, value))
+
+
 def _cells(bits: tuple[int, ...], n: int) -> list[int]:
     # Colour refinement from the unit partition to the coarsest equitable
     # partition, as vertex masks.  A cell splits by the number of neighbours
@@ -274,12 +286,9 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
 def enumerate_connected(n: int, m: int | None = None) -> Iterator[Graph]:
     """All connected graphs of order n (and size m when given), one
     canonical representative per isomorphism class."""
-    if not (2 <= n <= CONNECTED_MAX_N):
-        raise ValueError("supported orders are 2..%d, got %r" % (CONNECTED_MAX_N, n))
-    if m is not None and not (0 <= m <= n * (n - 1) // 2):
-        raise ValueError(
-            "sizes at order %d are 0..%d, got %r" % (n, n * (n - 1) // 2, m)
-        )
+    _check_range("order", n, 2, CONNECTED_MAX_N)
+    if m is not None:
+        _check_range("size at order %d" % n, m, 0, n * (n - 1) // 2)
     for g in _all_graphs(n):
         if m is not None and g.m != m:
             continue
@@ -288,9 +297,8 @@ def enumerate_connected(n: int, m: int | None = None) -> Iterator[Graph]:
 
 
 def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
-    """Connected graphs of order n with vertex connectivity at least kappa."""
-    if kappa < 1:
-        raise ValueError("kappa must be positive")
+    """Connected graphs of order n with vertex connectivity at least kappa;
+    is_k_connected rejects a kappa below 1 at the first graph."""
     for g in enumerate_connected(n):
         if is_k_connected(g, kappa):
             yield g
@@ -354,26 +362,18 @@ def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
 
 
 def enumerate_k_trees(n: int, k: int) -> Iterator[Graph]:
-    """All k-trees of order n up to isomorphism, for k <= 3 and n <= 10."""
-    if not (1 <= k <= K_TREE_MAX_K):
-        raise ValueError("supported k is 1..%d, got %r" % (K_TREE_MAX_K, k))
-    if not (k + 1 <= n <= K_TREE_MAX_N):
-        raise ValueError(
-            "supported orders are %d..%d for k=%d, got %r"
-            % (k + 1, K_TREE_MAX_N, k, n)
-        )
+    """All k-trees of order n up to isomorphism, for k <= K_TREE_MAX_K and
+    n <= K_TREE_MAX_N."""
+    _check_range("k", k, 1, K_TREE_MAX_K)
+    _check_range("order", n, k + 1, K_TREE_MAX_N)
     # Every vertex is a 1-clique, so trees share the maximal 1-degenerate chain.
     yield from _stacked(n, k, k > 1)
 
 
 def enumerate_maximal_k_degenerate(n: int, k: int) -> Iterator[Graph]:
     """Maximal k-degenerate graphs of order n, all of them connected."""
-    if not (2 <= n <= MAX_K_DEGENERATE_MAX_N):
-        raise ValueError(
-            "supported orders are 2..%d, got %r" % (MAX_K_DEGENERATE_MAX_N, n)
-        )
-    if k < 1:
-        raise ValueError("k must be positive, got %r" % (k,))
+    _check_range("order", n, 2, MAX_K_DEGENERATE_MAX_N)
+    _check_range("k", k, 1)
     for g in _stacked(n, k, False):
         if degeneracy_check(g, k) != (True, True):
             raise RuntimeError(
@@ -423,13 +423,8 @@ def _odd_trees(n: int) -> tuple[Graph, ...]:
 
 
 def enumerate_odd_trees(n: int) -> Iterator[Graph]:
-    """Trees of even order n <= 14 in which every degree is odd."""
-    if n % 2:
-        raise ValueError("odd trees have even order, got %r" % (n,))
-    if not (4 <= n <= ODD_TREE_MAX_N):
-        raise ValueError(
-            "supported orders are even 4..%d, got %r" % (ODD_TREE_MAX_N, n)
-        )
+    """Trees of even order n <= ODD_TREE_MAX_N in which every degree is odd."""
+    _check_range("order", n, 4, ODD_TREE_MAX_N, step=2)
     for g in _odd_trees(n):
         if not is_odd_tree(g):
             raise RuntimeError("grown tree %s is not an odd tree" % write_graph6(g))
@@ -468,10 +463,7 @@ def _apollonian(n: int) -> tuple[Graph, ...]:
 
 def enumerate_apollonian(n: int) -> Iterator[Graph]:
     """Planar 3-trees of order n, grown by face insertion."""
-    if not (3 <= n <= APOLLONIAN_MAX_N):
-        raise ValueError(
-            "supported orders are 3..%d, got %r" % (APOLLONIAN_MAX_N, n)
-        )
+    _check_range("order", n, 3, APOLLONIAN_MAX_N)
     yield from _apollonian(n)
 
 
@@ -510,10 +502,7 @@ def _triangulations(n: int) -> tuple[Graph, ...]:
 
 def enumerate_maximal_planar(n: int) -> Iterator[Graph]:
     """Maximal planar graphs (sphere triangulations) of order n."""
-    if not (4 <= n <= MAXIMAL_PLANAR_MAX_N):
-        raise ValueError(
-            "supported orders are 4..%d, got %r" % (MAXIMAL_PLANAR_MAX_N, n)
-        )
+    _check_range("order", n, 4, MAXIMAL_PLANAR_MAX_N)
     yield from _triangulations(n)
 
 

@@ -204,26 +204,23 @@ def is_cut_vertex(g: Graph, v: int) -> bool:
     return not _connected_without(g, 1 << v)
 
 
-def _smallest_cut(g: Graph, k: int) -> int | None:
-    # Size of a smallest vertex set with fewer than k vertices whose removal
-    # disconnects g, or None if there is none.
-    for size in range(1, k):
-        for cut in itertools.combinations(range(g.n), size):
-            removed = 0
-            for v in cut:
-                removed |= 1 << v
-            if not _connected_without(g, removed):
-                return size
-    return None
-
-
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices and no cutset smaller than k."""
     if k < 1:
         raise ValueError("k must be positive")
     if g.n <= k:
         return False
-    return is_connected(g) and _smallest_cut(g, k) is None
+    # Every vertex set of size 0..k - 1, smallest first; removing none is
+    # the connectivity test.  The mask loop is written out because a sum()
+    # over the cut is slower.
+    for size in range(k):
+        for cut in itertools.combinations(range(g.n), size):
+            removed = 0
+            for v in cut:
+                removed |= 1 << v
+            if not _connected_without(g, removed):
+                return False
+    return True
 
 
 def degeneracy_check(g: Graph, k: int) -> tuple[bool, bool]:

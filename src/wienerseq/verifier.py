@@ -22,6 +22,7 @@ points at this package, not at the statement under test.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -312,11 +313,11 @@ def _run(
     records = [write_graph6(g) for g in graphs]
     start = time.monotonic()
     # Shard i holds records i, i + jobs, ...; only shards that hold a record
-    # are checked, so fewer records than jobs start fewer workers.
+    # are checked, in at most one worker per CPU.
     busy = min(jobs, len(records))
     payloads = [(suite, params, records[i::jobs]) for i in range(busy)]
     if busy > 1:
-        with ProcessPoolExecutor(max_workers=busy) as pool:
+        with ProcessPoolExecutor(max_workers=min(busy, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_check_shard, payloads))
     else:
         parts = [_check_shard(p) for p in payloads]
@@ -341,8 +342,8 @@ def _run(
 
 
 def verify_order_size(n: int, jobs: int = 1) -> VerificationReport:
-    """Every connected graph of order n (2..8) against the path-complete
-    graph of its size."""
+    """Every connected graph of order n (2..CONNECTED_MAX_N) against the
+    path-complete graph of its size."""
     return _run("order_size", {"n": n}, enumerate_connected(n), jobs)
 
 
@@ -399,7 +400,7 @@ def verify_odd_trees(n: int, jobs: int = 1) -> VerificationReport:
 
 def verify_deletion_bound(n: int, jobs: int = 1) -> VerificationReport:
     """The vertex deletion bound and its equality predicate at every
-    non-cut vertex of every connected graph of order n (2..8)."""
+    non-cut vertex of every connected graph of order n (2..CONNECTED_MAX_N)."""
     return _run("deletion", {"n": n}, enumerate_connected(n), jobs)
 
 
@@ -409,9 +410,9 @@ def search_maximal_planar(
     """Best-effort search for a maximal planar graph whose distance
     sequence is not dominated by the cube of the path.
 
-    mode="flip" covers the class completely via flip closure
-    (coverage "complete", orders 4..9); mode="apollonian" checks only
-    planar 3-trees (coverage "partial", orders 3..11).
+    mode="flip" covers the class completely via flip closure (coverage
+    "complete", orders 4..MAXIMAL_PLANAR_MAX_N); mode="apollonian" checks
+    only planar 3-trees (coverage "partial", orders 3..APOLLONIAN_MAX_N).
     """
     if mode == "apollonian":
         graphs, coverage = enumerate_apollonian(n), "partial"

@@ -186,10 +186,6 @@ def test_construct_edge_list(capsys):
     assert capsys.readouterr().out == "3\n0 1\n1 2\n"
 
 
-def test_construct_rejects_input_source(capsys):
-    assert main(["construct", "--input", "D?{"]) == 2
-
-
 def test_enumerate_to_file(tmp_path, capsys):
     target = tmp_path / "trees.g6"
     code = main(["enumerate", "--class", "k_tree:6,1", "--out", str(target)])
@@ -372,6 +368,7 @@ def test_compute_evaluates_each_index_once(monkeypatch, capsys):
           "--format", "json"], 3),
         (["compare", "--family", "path:4"], 2),
         (["compare", "--family", "path:4", "--family", "path:4", "--family", "path:4"], 2),
+        (["construct"], 2),
     ],
 )
 def test_bad_spec_or_input_exit_code(argv, code, capsys):
@@ -396,6 +393,7 @@ def test_bad_spec_or_input_exit_code(argv, code, capsys):
         ["enumerate", "--class", "connected:3", "--max-n", "6"],
         ["verify", "--suite", "deletion:3", "--max-n", "6"],
         ["explore", "--class", "maximal_planar:4", "--max-n", "6"],
+        ["construct", "--input", "D?{"],
     ],
 )
 def test_unsupported_option_exits_two(argv, capsys):

@@ -597,6 +597,44 @@ def test_enumeration_ceilings():
         list(enumerate_maximal_planar(10))
     with pytest.raises(ValueError):
         list(enumerate_apollonian(12))
+    # is_k_connected rejects kappa = 0 at the first graph
+    with pytest.raises(ValueError):
+        list(enumerate_k_connected(4, 0))
+
+
+# (class, arguments after the order, lowest order, highest order, step
+# between orders), with each highest order read from the module's cap.
+ORDER_RANGES = [
+    ("connected", (), 2, enumeration.CONNECTED_MAX_N, 1),
+    ("k_connected", (1,), 2, enumeration.CONNECTED_MAX_N, 1),
+    *(
+        ("k_tree", (k,), k + 1, enumeration.K_TREE_MAX_N, 1)
+        for k in range(1, enumeration.K_TREE_MAX_K + 1)
+    ),
+    ("maximal_k_degenerate", (1,), 2, enumeration.MAX_K_DEGENERATE_MAX_N, 1),
+    ("apollonian", (), 3, enumeration.APOLLONIAN_MAX_N, 1),
+    ("odd_tree", (), 4, enumeration.ODD_TREE_MAX_N, 2),
+    ("maximal_planar", (), 4, enumeration.MAXIMAL_PLANAR_MAX_N, 1),
+]
+
+
+def test_order_ranges_cover_every_class():
+    assert {name for name, *_ in ORDER_RANGES} == set(enumeration.CLASSES)
+
+
+@pytest.mark.parametrize(
+    "name,rest,low,high,step",
+    ORDER_RANGES,
+    ids=[":".join(map(str, (name, *rest))) for name, rest, *_ in ORDER_RANGES],
+)
+def test_order_range_of_every_class(name, rest, low, high, step):
+    # The orders just outside the range raise before anything is generated,
+    # and the lowest order yields a graph.
+    outside = [low - 1, high + 1] + ([low + 1] if step > 1 else [])
+    for n in outside:
+        with pytest.raises(ValueError):
+            next(enumerate_class(name, (n, *rest)))
+    assert next(enumerate_class(name, (low, *rest))).n == low
 
 
 def test_class_spec_dispatch():
@@ -619,3 +657,5 @@ def test_class_spec_dispatch():
     ):
         with pytest.raises(ValueError):
             parse_class_spec(bad)
+    with pytest.raises(ValueError, match="unknown class"):
+        list(enumerate_class("nope", ()))

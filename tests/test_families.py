@@ -6,6 +6,7 @@ import pytest
 from conftest import merge, odd_caterpillar_increment, to_nx
 from wienerseq import (
     Dominance,
+    Graph,
     canonical_form,
     compare,
     complete,
@@ -99,6 +100,7 @@ def test_path_power_basics():
     assert path_power(6, 1) == path(6)
     assert path_power(6, 5) == complete(6)
     assert path_power(6, 9) == complete(6)
+    assert path_power(1, 2) == Graph(1)
     with pytest.raises(ValueError):
         path_power(5, 0)
 

@@ -51,6 +51,22 @@ def test_graph_rejects_bad_input():
         Graph(3, [(0, 1), (1, 0)])
 
 
+def test_edge_list_rejects_an_empty_document():
+    for text in ("", "\n  \n"):
+        with pytest.raises(GraphFormatError, match="empty"):
+            parse_edge_list(text)
+
+
+def test_predicates_reject_bad_arguments():
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            is_cut_vertex(path(3), v)
+    with pytest.raises(ValueError, match="positive"):
+        is_k_connected(path(3), 0)
+    with pytest.raises(ValueError, match="positive"):
+        degeneracy_check(path(3), 0)
+
+
 def test_graph_basic_accessors():
     g = Graph(4, [(2, 1), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
@@ -121,6 +137,9 @@ def test_graph6_rejects_non_minimal_header():
     # long form for n=5 must not be accepted
     with pytest.raises(GraphFormatError):
         parse_graph6("~??D??")
+    # nor the 8-character form for n=63
+    with pytest.raises(GraphFormatError, match="non-minimal"):
+        parse_graph6("~~?????~")
 
 
 def test_graph6_rejects_nonzero_padding():
@@ -133,7 +152,10 @@ def test_graph6_rejects_nonzero_padding():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "D", "D?{?", "D\x1f{", "~"],
+    # "?" has order 0, "~??" and "~~???" cut the long headers short, and
+    # "~~???~??" declares n = 258,048, the least 8-character order, with no
+    # payload.
+    ["", "D", "D?{?", "D\x1f{", "~", "?", "~??", "~~???", "~~???~??"],
 )
 def test_graph6_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
@@ -153,6 +175,8 @@ def test_edge_list_round_trip():
         ("3\n1 1\n", 2),
         ("3\n0 1\n0 1\n", 3),
         ("3\n0\n", 2),
+        ("3\n0 x\n", 2),
+        ("0\n", 1),
     ],
 )
 def test_edge_list_errors_carry_line_numbers(text, line):
@@ -210,6 +234,16 @@ def test_k_connected_consistent_with_connectivity(g):
     kappa = nx.node_connectivity(to_nx(g))
     for k in range(1, g.n + 1):
         assert is_k_connected(g, k) == (kappa >= k and g.n > k)
+
+
+@given(arbitrary_graphs(min_n=1, max_n=7))
+@settings(deadline=None)
+def test_k_connected_is_false_on_disconnected_graphs(g):
+    # The cut of size 0 is the connectivity test: a disconnected graph is
+    # not even 1-connected.
+    connected = nx.is_connected(to_nx(g))
+    for k in (1, 2):
+        assert not is_k_connected(g, k) or connected
 
 
 @pytest.mark.parametrize(

@@ -37,10 +37,12 @@ from wienerseq.enumeration import enumerate_connected
 from wienerseq.families import odd_caterpillar
 from wienerseq.indices import (
     DECREASING,
+    F_SUM,
     INCREASING,
     MAX_EXACT_BITS,
     NONDECREASING,
     ExponentRangeError,
+    IndexDefinition,
 )
 
 entry_lists = st.lists(st.integers(1, 9), min_size=1, max_size=25)
@@ -258,6 +260,16 @@ def test_order_size_bound_domain():
         order_size_lower_bound(mult_wiener(), 5, 5)
     with pytest.raises(ValueError):
         order_size_lower_bound(diameter_index(), 5, 5)
+    # the exact bound is None, not an error, for an index not of sum type
+    assert order_size_lower_bound_exact(mult_wiener(), 5, 5) is None
+
+
+def test_evaluate_rejects_malformed_definitions():
+    seq = distance_sequence(path(3))
+    with pytest.raises(ValueError, match="unknown index kind"):
+        evaluate(IndexDefinition("odd", "median", INCREASING), seq)
+    with pytest.raises(ValueError, match="no term"):
+        evaluate(IndexDefinition("bare", F_SUM, INCREASING), seq)
 
 
 def test_order_size_bound_direction_small_orders():

@@ -46,6 +46,12 @@ def test_constructor_validation():
         DistanceSequence([(1, -3)])
     # zero-multiplicity runs are normalized away, not rejected
     assert DistanceSequence([(1, 0)]) == seq_of([])
+    with pytest.raises(ValueError, match="sorted"):
+        DistanceSequence([(2, 1), (1, 1)])
+    # equal adjacent values merge into one run
+    assert DistanceSequence([(1, 1), (1, 2), (2, 1)]).runs == ((1, 3), (2, 1))
+    with pytest.raises(ValueError, match="empty"):
+        seq_of([]).max_value
 
 
 @given(entry_lists)
@@ -227,6 +233,9 @@ def test_deletion_bound_rejects_cut_vertex_and_bad_label():
         deletion_bound_check(path(3), 3)
     with pytest.raises(ValueError, match="out of range"):
         deletion_bound_check(path(3), -1)
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            vertex_distance_sequence(path(3), v)
     with pytest.raises(ValueError):
         deletion_bounds(Graph(1))
     with pytest.raises(ValueError):

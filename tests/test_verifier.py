@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 
 import pytest
 
@@ -397,7 +398,9 @@ def test_reports_identical_across_process_pool():
 
 def test_pool_starts_a_worker_per_nonempty_shard(monkeypatch):
     # The 2 connected graphs on 3 vertices fill 2 of 8 shards, so one pool
-    # of 2 workers starts; the report still says 8 shards.
+    # of 2 workers starts on a machine with 8 CPUs; the report still says 8
+    # shards.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     started = []
 
     class Recording(verifier.ProcessPoolExecutor):
@@ -411,6 +414,41 @@ def test_pool_starts_a_worker_per_nonempty_shard(monkeypatch):
     assert pooled.to_dict()["shards"] == 8
     base = verify_deletion_bound(3).to_json(include_meta=False)
     assert pooled.to_json(include_meta=False) == base
+
+
+def test_pool_starts_at_most_a_worker_per_cpu(monkeypatch):
+    # The 21 connected graphs on 5 vertices fill 21 of 10,000 shards, but a
+    # machine with 2 CPUs gets a pool of 2 workers.  The fake pool runs the
+    # shards in this process, so no worker starts.
+    started = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcess)
+    pooled = verify_deletion_bound(5, jobs=10_000)
+    assert started == [2]
+    assert pooled.to_dict()["shards"] == 10_000
+    base = verify_deletion_bound(5).to_json(include_meta=False)
+    assert pooled.to_json(include_meta=False) == base
+
+
+def test_suites_reject_bad_parameters():
+    with pytest.raises(ValueError, match="no 4-connected graphs of order 4"):
+        verify_connectivity(4, 4)
+    with pytest.raises(ValueError, match="mode"):
+        search_maximal_planar(5, mode="nope")
 
 
 def test_suite_spec_arguments_are_runner_parameters():
