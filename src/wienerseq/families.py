@@ -76,8 +76,6 @@ def cycle_power(n: int, h: int) -> Graph:
 
 def path_power(n: int, k: int) -> Graph:
     """k-th power of the n-path."""
-    if n == 1:
-        return Graph(1)
     return graph_power(path(n), k)
 
 

@@ -13,13 +13,17 @@ vertices and k-connectivity; the degeneracy and odd-tree predicates;
 relabeling; and the graph6 and edge-list codecs.
 
 graph6 bit layout, which round-trips bit-exactly here: a record is
-``<header><payload>``.  The header is ``chr(n + 63)`` for n <= 62,
-``"~"`` plus three characters (18-bit big-endian value, 6 bits per
-character) for 63 <= n <= 258047, and ``"~~"`` plus six characters beyond
-that.  The payload packs the upper triangle of the adjacency matrix column
-by column (x01, x02, x12, x03, x13, x23, ...) into 6-bit groups, most
-significant bit first, zero padded to a multiple of six, each group stored
-as ``chr(value + 63)``.
+``<header><payload>``.  The header is one row of ``_G6_HEADERS``, the
+first whose largest order holds n: ``chr(n + 63)`` for n <= 62, ``"~"``
+plus three characters for n <= 258047, and ``"~~"`` plus six characters
+up to 2^36 - 1, n written big-endian in 6 bits per character.  The
+payload packs the upper triangle of the adjacency matrix column by column
+(x01, x02, x12, x03, x13, x23, ...) into 6-bit groups, most significant
+bit first, zero padded to a multiple of six, each group stored as
+``chr(value + 63)``.  The reader checks the record (alphabet, minimal
+header, order, payload length, zero padding) and builds the adjacency
+masks straight from the payload: a payload of the right length can only
+name pairs row < col < n, each once, so the masks need no second check.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ class Graph:
 
     @classmethod
     def _from_bits(cls, bits: tuple[int, ...]) -> Graph:
-        # The Graph with these adjacency masks, which must come from a
-        # validated graph (symmetric, no loops, in range), so nothing is
-        # checked.
+        # The Graph with these adjacency masks, which must be symmetric,
+        # loop-free and in range (those of a validated graph, or decoded
+        # from a graph6 payload), so nothing is checked.
         g = cls.__new__(cls)
         g.n = len(bits)
         g.bits = bits
@@ -284,8 +288,12 @@ def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
 # ---------------------------------------------------------------------------
 # graph6
 
-_G6_MAX_SHORT = 62
-_G6_MAX_LONG = 258047
+# The order headers, shortest first: (prefix, characters after it, largest
+# order).  An order takes the first header that holds it, so a longer
+# header for an order that a shorter one holds is non-minimal.
+_G6_HEADERS = (("", 1, 62), ("~", 3, 258047), ("~~", 6, (1 << 36) - 1))
+# The 6 bits, most significant first, that each graph6 character stands for.
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -295,90 +303,71 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphFormatError("empty graph6 record")
-    data = []
     for ch in s:
-        val = ord(ch)
-        if not (63 <= val <= 126):
+        if not "?" <= ch <= "~":
             raise GraphFormatError(
                 "character %r outside graph6 range 63..126" % ch
             )
-        data.append(val - 63)
-    n, idx = _read_g6_order(data)
+    # The longest prefix the record starts with picks the header.
+    least = 0
+    for prefix, width, largest in _G6_HEADERS:
+        if s.startswith(prefix):
+            start, end, smallest = len(prefix), len(prefix) + width, least
+        least = largest + 1
+    if len(s) < end:
+        raise GraphFormatError("truncated graph6 length header")
+    bitstr = s.translate(_G6_BITS)
+    n = int(bitstr[6 * start:6 * end], 2)
+    if n < smallest:
+        raise GraphFormatError("non-minimal graph6 length header")
     if n < 1:
         raise GraphFormatError("graph6 record with order %d" % n)
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
-    if len(data) - idx != need:
+    if len(s) - end != need:
         raise GraphFormatError(
             "payload length %d, expected %d characters for n=%d"
-            % (len(data) - idx, need, n)
+            % (len(s) - end, need, n)
         )
-    bitstream = 0
-    for val in data[idx:]:
-        bitstream = bitstream << 6 | val
-    total_bits = need * 6
-    pad = total_bits - npairs
-    if pad and bitstream & ((1 << pad) - 1):
+    # Bit i of pairs is the i-th pair of x01, x02, x12, x03, ...
+    pairs = int(bitstr[::-1], 2) >> 6 * end
+    if pairs >> npairs:
         raise GraphFormatError("nonzero padding bits in graph6 payload")
-    edges = []
-    bit = total_bits
+    # Column col holds the pairs (row, col) for row < col, so the masks are
+    # symmetric, loop-free and in range by construction.
+    bits = [0] * n
     for col in range(1, n):
-        for row in range(col):
-            bit -= 1
-            if bitstream >> bit & 1:
-                edges.append((row, col))
-    return Graph(n, edges)
-
-
-def _read_g6_order(data: list[int]) -> tuple[int, int]:
-    if data[0] != 63:
-        return data[0], 1
-    if len(data) < 2:
-        raise GraphFormatError("truncated graph6 length header")
-    if data[1] != 63:
-        if len(data) < 4:
-            raise GraphFormatError("truncated graph6 length header")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        if n <= _G6_MAX_SHORT:
-            raise GraphFormatError("non-minimal graph6 length header")
-        return n, 4
-    if len(data) < 8:
-        raise GraphFormatError("truncated graph6 length header")
-    n = 0
-    for val in data[2:8]:
-        n = n << 6 | val
-    if n <= _G6_MAX_LONG:
-        raise GraphFormatError("non-minimal graph6 length header")
-    return n, 8
+        lower = pairs & ((1 << col) - 1)
+        pairs >>= col
+        bits[col] |= lower
+        while lower:
+            low = lower & -lower
+            bits[low.bit_length() - 1] |= 1 << col
+            lower ^= low
+    return Graph._from_bits(tuple(bits))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 record (no trailing newline)."""
     n = g.n
-    if n <= _G6_MAX_SHORT:
-        head = chr(n + 63)
-    elif n <= _G6_MAX_LONG:
-        head = "~" + "".join(
-            chr((n >> shift & 63) + 63) for shift in (12, 6, 0)
-        )
-    else:
-        head = "~~" + "".join(
-            chr((n >> shift & 63) + 63) for shift in (30, 24, 18, 12, 6, 0)
-        )
-    bitstream = 0
+    for prefix, width, largest in _G6_HEADERS:
+        if n <= largest:
+            break
+    # Gather the pairs with the first at the lowest bit (column col is the
+    # low col bits of bits[col]), then reverse them once, since graph6
+    # writes the first pair first; the order and the payload are packed as
+    # one number.
+    rev = 0
     npairs = 0
     for col in range(1, n):
-        bits_u = g.bits[col]
-        for row in range(col):
-            bitstream = bitstream << 1 | (bits_u >> row & 1)
-            npairs += 1
-    pad = (-npairs) % 6
-    bitstream <<= pad
-    chars = []
-    total = npairs + pad
-    for shift in range(total - 6, -6, -6):
-        chars.append(chr((bitstream >> shift & 63) + 63))
-    return head + "".join(chars)
+        rev |= (g.bits[col] & ((1 << col) - 1)) << npairs
+        npairs += col
+    pad = -npairs % 6
+    value = (n << npairs | int(format(rev, "0%db" % npairs)[::-1], 2)) << pad
+    top = 6 * width + npairs + pad - 6
+    return prefix + "".join(
+        [chr((value >> shift & 63) + 63) for shift in range(top, -6, -6)]
+    )
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -245,11 +245,14 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
             )
         # v has degree k, so k < n
         vseq = vertex_distance_sequence(g, v)
-        vrel = compare(vseq, end_vertex_sequence_path_power(n, k))
+        end = end_vertex_sequence_path_power(n, k)
+        vrel = compare(vseq, end)
         if not vrel.dominated:
             coord = vrel.greater_at
             violations.append(
-                _violation(record, "end_vertex_bound", coord, vseq[coord])
+                _violation(
+                    record, "end_vertex_bound", coord, vseq[coord], end[coord]
+                )
             )
     elif n >= k + 1:
         violations.append(_violation(record, "degree_k_vertex", lhs=k))

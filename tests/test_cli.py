@@ -369,6 +369,7 @@ def test_compute_evaluates_each_index_once(monkeypatch, capsys):
         (["compare", "--family", "path:4"], 2),
         (["compare", "--family", "path:4", "--family", "path:4", "--family", "path:4"], 2),
         (["construct"], 2),
+        (["construct", "--family", "pathpow:1,0"], 2),
     ],
 )
 def test_bad_spec_or_input_exit_code(argv, code, capsys):

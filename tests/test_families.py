@@ -101,8 +101,9 @@ def test_path_power_basics():
     assert path_power(6, 5) == complete(6)
     assert path_power(6, 9) == complete(6)
     assert path_power(1, 2) == Graph(1)
-    with pytest.raises(ValueError):
-        path_power(5, 0)
+    for n in (1, 5):
+        with pytest.raises(ValueError):
+            path_power(n, 0)
 
 
 def test_end_vertex_closed_form_examples():

@@ -36,6 +36,7 @@ from wienerseq import (
     star,
     write_graph6,
 )
+from wienerseq import graphs
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -126,11 +127,73 @@ def test_graph6_optional_prefix():
     assert parse_graph6(">>graph6<<D?{") == parse_graph6("D?{")
 
 
-def test_graph6_long_header():
-    g = Graph(63, [(0, 62)])
+@pytest.mark.parametrize("n,header", [(62, "}"), (63, "~??~")], ids=["62", "63"])
+def test_graph6_long_header(n, header):
+    # 62 is the largest order of the 1-character header, 63 the least of
+    # the 4-character one.
+    g = Graph(n, [(0, n - 1)])
     rec = write_graph6(g)
-    assert rec.startswith("~")
+    assert rec.startswith(header)
+    assert len(rec) == len(header) + (n * (n - 1) // 2 + 5) // 6
     assert parse_graph6(rec) == g
+
+
+def test_graph6_header_table_matches_the_definition():
+    # McKay's graph6 definition: N(n) is one character for n <= 62, "~"
+    # and three for n <= 258047, and "~~" and six for n <= 2^36 - 1.
+    assert graphs._G6_HEADERS == (
+        ("", 1, 62),
+        ("~", 3, 258047),
+        ("~~", 6, 68719476735),
+    )
+
+
+def test_graph6_decoding_validates_no_graph(monkeypatch):
+    # A record's masks are built straight from its payload, so decoding
+    # makes no Graph(n, edges) call.
+    calls = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    records = FIXTURES.joinpath("records.g6").read_text().split()
+    monkeypatch.setattr(Graph, "__init__", counting)
+    for rec in records:
+        parse_graph6(rec)
+    assert calls == []
+
+
+@st.composite
+def graph6_like_records(draw):
+    """A short string over "?".."~", or a record whose payload has exactly
+    the length its order asks for, either with the optional prefix and
+    surrounding whitespace."""
+    alphabet = st.characters(min_codepoint=63, max_codepoint=126)
+    if draw(st.booleans()):
+        body = draw(st.text(alphabet, max_size=12))
+    else:
+        n = draw(st.integers(1, 20))
+        need = (n * (n - 1) // 2 + 5) // 6
+        body = chr(n + 63) + draw(st.text(alphabet, min_size=need, max_size=need))
+    prefix = draw(st.sampled_from(("", ">>graph6<<")))
+    space = st.sampled_from(("", " ", "\n", "\t "))
+    return body, draw(space) + prefix + body + draw(space)
+
+
+@settings(max_examples=300)
+@given(graph6_like_records())
+def test_graph6_reader_checks_records_or_builds_valid_graphs(case):
+    # Either the record is rejected as malformed, or the decoded masks are
+    # those of a valid graph and encode back to the record.
+    body, text = case
+    try:
+        g = parse_graph6(text)
+    except GraphFormatError:
+        return
+    assert g == Graph(g.n, g.edges)
+    assert write_graph6(g) == body
 
 
 def test_graph6_rejects_non_minimal_header():

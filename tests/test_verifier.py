@@ -124,7 +124,7 @@ def test_k_degenerate_check_reports_non_members():
     params = {"n": 6, "k": 2, "class": "maximal_k_degenerate"}
     assert _check_k_degenerate(g, record, params) == [
         _violation(record, "k_connectivity", lhs="2"),
-        _violation(record, "end_vertex_bound", 3, lhs="3"),
+        _violation(record, "end_vertex_bound", 3, lhs="3", rhs="2"),
     ]
 
 
