@@ -162,7 +162,7 @@ def _gather_graphs(args: argparse.Namespace) -> list[Graph]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
+    if text and not text.endswith("\n"):
         text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -295,8 +295,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _emit(stream, args.out)
         _emit(json.dumps(summary, indent=2, sort_keys=True), None)
     else:
-        if records:
-            _emit(stream, None)
+        _emit(stream, None)
         sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

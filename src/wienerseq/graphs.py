@@ -9,8 +9,9 @@ the package cheap at the small orders this library targets.
 
 The module holds the ``Graph`` type; one layered BFS inside a vertex mask
 (``_layers``) for distances, graph powers, layer counts, connectivity, cut
-vertices and k-connectivity; the degeneracy and odd-tree predicates;
-relabeling; and the graph6 and edge-list codecs.
+vertices and k-connectivity; the distance matrix, which keeps each
+source's BFS layer masks and reads distances off them; the degeneracy and
+odd-tree predicates; relabeling; and the graph6 and edge-list codecs.
 
 graph6 bit layout, which round-trips bit-exactly here: a record is
 ``<header><payload>``.  The header is one row of ``_G6_HEADERS``, the
@@ -127,18 +128,28 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest-path distances of a connected graph.
-
-    ``d[u][v]`` is the hop distance.
+    """All-pairs shortest-path distances of a connected graph as BFS layers:
+    ``layers[u][d - 1]`` is the mask of the vertices at distance d from u.
     """
 
     n: int
-    d: tuple[tuple[int, ...], ...]
+    layers: tuple[tuple[int, ...], ...]
+
+    @property
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        """``d[u][v]`` is the hop distance, read off the layers on each access."""
+        return tuple(
+            tuple(
+                next((k for k, layer in enumerate(layers, 1) if layer >> v & 1), 0)
+                for v in range(self.n)
+            )
+            for layers in self.layers
+        )
 
     @property
     def ecc(self) -> tuple[int, ...]:
         """``ecc[v]`` is the eccentricity of v."""
-        return tuple(map(max, self.d))
+        return tuple(map(len, self.layers))
 
     @property
     def diameter(self) -> int:
@@ -171,20 +182,11 @@ def _layers(bits: tuple[int, ...], src: int, allowed: int) -> list[int]:
     return layers
 
 
-def _bfs_distances(g: Graph, src: int) -> tuple[int, ...]:
-    dist = [0] * g.n
-    for level, layer in enumerate(_layers(g.bits, src, (1 << g.n) - 1), 1):
-        while layer:
-            low = layer & -layer
-            dist[low.bit_length() - 1] = level
-            layer ^= low
-    return tuple(dist)
-
-
 def distance_matrix(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedGraphError with a witness pair."""
+    full = (1 << g.n) - 1
     return DistanceMatrix(
-        n=g.n, d=tuple(_bfs_distances(g, src) for src in range(g.n))
+        g.n, tuple(tuple(_layers(g.bits, src, full)) for src in range(g.n))
     )
 
 

@@ -26,19 +26,19 @@ never merged sequences: the bound's count at distance d is v's count plus
 g - v's count.  At a single vertex v, v's counts are the layer sizes of
 one BFS from v.
 
-``deletion_bounds`` reads every row of one distance matrix of g, and
-searches g - v only from the sources whose distances deleting v changes.
-Let v be at distance k from a source s.  Deleting v changes some distance
-from s exactly when some vertex t at distance k + 1 has v as its only
-neighbour at distance k: then every shortest s-t path runs through v;
-otherwise every vertex of each layer keeps a parent outside v in the
-layer before, so by induction on the distance every vertex keeps its
-distance.  Every other source's distances in g - v are its row of the
-matrix without v.  A cut vertex v is such a sole parent from every other
-source, so the first search of g - v fails exactly when v is a cut
+``deletion_bounds`` reads the BFS layers of every source of g, which one
+distance matrix keeps, and searches g - v only from the sources whose
+distances deleting v changes.  Let v be at distance k from a source s.
+Deleting v changes some distance from s exactly when some vertex t at
+distance k + 1 has v as its only neighbour at distance k: then every
+shortest s-t path runs through v; otherwise every vertex of each layer
+keeps a parent outside v in the layer before, so by induction on the
+distance every vertex keeps its distance.  Every other source keeps its
+layers, less v, in g - v.  A cut vertex v is such a sole parent from every
+other source, so the first search of g - v fails exactly when v is a cut
 vertex.  The equality predicate needs no more: every two neighbours of v
-are within 2 in g - v exactly when deleting v changes no distance, since
-a shortest path through x, v, y can then run through x, w, y instead.
+are within 2 in g - v exactly when deleting v changes no distance, since a
+shortest path through x, v, y can then run through x, w, y instead.
 
 Sequences are stored run-length compressed as (value, multiplicity) pairs,
 and comparisons never expand them.
@@ -48,8 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, sub
-from typing import Iterable, Iterator, NamedTuple
+from operator import add
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from wienerseq.graphs import (
     DisconnectedGraphError,
@@ -223,12 +223,14 @@ def _layer_counts(g: Graph, allowed: int) -> list[int]:
     return counts
 
 
+def _sizes(layers: Sequence[int], n: int) -> list[int]:
+    # Entry d - 1 is the size of layer d, for d = 1..n-1.
+    return list(map(int.bit_count, layers)) + [0] * (n - 1 - len(layers))
+
+
 def _vertex_counts(g: Graph, v: int) -> list[int]:
     # Entry d - 1 is the number of vertices at distance d from v.
-    counts = [0] * (g.n - 1)
-    for d, layer in enumerate(_layers(g.bits, v, (1 << g.n) - 1)):
-        counts[d] = layer.bit_count()
-    return counts
+    return _sizes(_layers(g.bits, v, (1 << g.n) - 1), g.n)
 
 
 def _from_counts(counts: list[int]) -> DistanceSequence:
@@ -292,41 +294,42 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
 def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
     """``deletion_bound_check(g, v)`` at every non-cut vertex v.
 
-    The bound is checked on per-distance counts read off one distance
-    matrix of g: row s gives the layer sizes of source s, their sums give
-    g's pair counts, and row v gives v's counts.  g - v is searched only
-    from the sources s whose distances deleting v changes, those where v,
-    at distance k from s, is the only neighbour at distance k of some
-    vertex at distance k + 1.  Otherwise every vertex keeps a parent other
-    than v one layer closer, so by induction no distance from s changes,
-    and s counts its row without v.  A cut vertex is such a sole parent
-    from every other source, so the first search of g - v fails exactly
-    when v is a cut vertex.  Equality is predicted exactly when no
-    source's distances change.
+    The bound is checked on per-distance counts read off the BFS layers
+    of every source, which one distance matrix of g keeps: their sizes
+    summed give g's pair counts, and v's give v's counts.  g - v is
+    searched only from the sources s whose distances deleting v changes,
+    those where v, at distance k from s, is the only neighbour at distance
+    k of some vertex at distance k + 1.  Otherwise every vertex keeps a
+    parent other than v one layer closer, so by induction no distance from
+    s changes, and s counts its layers without v.  A cut vertex is such a
+    sole parent from every other source, so the first search of g - v
+    fails exactly when v is a cut vertex.  Equality is predicted exactly
+    when no source's distances change.
     """
     if g.n == 1:
         raise ValueError("cannot delete the only vertex")
     dm = distance_matrix(g)
-    rows, hits = zip(*(_source_layers(g.bits, dist) for dist in dm.d))
+    rows = [_sizes(layers, g.n) for layers in dm.layers]
     # Ordered pair counts of g: each pair once from each end.
     ordered = [sum(column) for column in zip(*rows)]
     counts = [c // 2 for c in ordered]
     # changed[v]: the mask of the sources whose distances deleting v changes
     changed = [0] * g.n
-    for s, hit in enumerate(hits):
-        for v in _iter_bits(hit):
+    for s, layers in enumerate(dm.layers):
+        for v in _iter_bits(_sole_parents(g.bits, layers)):
             changed[v] |= 1 << s
     full = (1 << g.n) - 1
     out = {}
     for v, vcounts in enumerate(rows):
         allowed = full & ~(1 << v)
         # Ordered counts of g - v: drop v's pairs from both ends, then
-        # replace the row of every source whose distances change.
+        # swap each changed source's layers in g, less v, for its layers
+        # in g - v.
         rest = [c - 2 * x for c, x in zip(ordered, vcounts)]
         try:
             for s in _iter_bits(changed[v]):
-                rest = list(map(sub, rest, rows[s]))
-                rest[dm.d[s][v] - 1] += 1  # the pair (s, v), dropped twice
+                for d, layer in enumerate(dm.layers[s]):
+                    rest[d] -= (layer & allowed).bit_count()
                 for d, layer in enumerate(_layers(g.bits, s, allowed)):
                     rest[d] += layer.bit_count()
         except DisconnectedGraphError:
@@ -338,24 +341,17 @@ def deletion_bounds(g: Graph) -> dict[int, DeletionBoundResult]:
     return out
 
 
-def _source_layers(
-    bits: tuple[int, ...], dist: tuple[int, ...]
-) -> tuple[list[int], int]:
-    # (layer sizes, hit) for the source whose matrix row is dist: entry
-    # d - 1 of the sizes is the number of vertices at distance d, and hit
-    # is the mask of the sole parents, the vertices that are the only
-    # neighbour one layer closer of some vertex.  Vertices at distance 1
-    # are skipped: their one parent is the source itself.
-    layers = [0] * len(dist)
-    for t, d in enumerate(dist):
-        layers[d] |= 1 << t
+def _sole_parents(bits: tuple[int, ...], layers: tuple[int, ...]) -> int:
+    # The mask of the vertices that are the only neighbour one layer closer
+    # of some vertex, given one source's BFS layers.  Vertices at distance
+    # 1 are skipped: their one parent is the source itself.
     hit = 0
-    for b, d in zip(bits, dist):
-        if d > 1:
-            parents = b & layers[d - 1]
+    for closer, layer in zip(layers, layers[1:]):
+        for t in _iter_bits(layer):
+            parents = bits[t] & closer
             if not parents & (parents - 1):
                 hit |= parents
-    return list(map(int.bit_count, layers[1:])), hit
+    return hit
 
 
 def _deletion_bound(

@@ -206,6 +206,19 @@ def test_enumerate_to_stdout(capsys):
     assert json.loads(captured.err)["count"] == 6
 
 
+def test_enumerate_empty_class_writes_nothing(tmp_path, capsys):
+    # No connected graph has 5 vertices and 2 edges: both paths give empty
+    # output, not a blank graph6 record.
+    target = tmp_path / "none.g6"
+    assert main(["enumerate", "--class", "connected:5,2", "--out", str(target)]) == 0
+    assert target.read_text() == ""
+    assert json.loads(capsys.readouterr().out)["count"] == 0
+    assert main(["enumerate", "--class", "connected:5,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["count"] == 0
+
+
 # sha256 of `enumerate --class SPEC` stdout.  A change to the labeling or
 # the graph6 writer that rewrites these records must re-pin them and say so,
 # with the unchanged class sets of test_canonical.OLD_RECORDS beside them.

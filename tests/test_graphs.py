@@ -251,25 +251,31 @@ def test_edge_list_errors_carry_line_numbers(text, line):
 @given(connected_graphs(max_n=8))
 def test_distance_matrix_laws(g):
     dm = distance_matrix(g)
+    d = dm.d
     for u in range(g.n):
-        assert dm.d[u][u] == 0
-        assert dm.ecc[u] == max(dm.d[u])
+        assert d[u][u] == 0
+        assert dm.ecc[u] == max(d[u])
         for v in range(g.n):
-            assert dm.d[u][v] == dm.d[v][u]
+            assert d[u][v] == d[v][u]
             if u != v:
-                assert (dm.d[u][v] == 1) == g.has_edge(u, v)
+                assert (d[u][v] == 1) == g.has_edge(u, v)
             for w in range(g.n):
-                assert dm.d[u][w] <= dm.d[u][v] + dm.d[v][w]
+                assert d[u][w] <= d[u][v] + d[v][w]
     assert dm.diameter == max(dm.ecc)
 
 
 @given(connected_graphs(min_n=2, max_n=8))
 def test_distances_match_reference(g):
     dm = distance_matrix(g)
+    d = dm.d
     ref = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
     for u in range(g.n):
         for v in range(g.n):
-            assert dm.d[u][v] == ref[u][v]
+            assert d[u][v] == ref[u][v]
+        # layers[u][k - 1] is the set of the vertices at distance k from u
+        assert len(dm.layers[u]) == max(ref[u].values())
+        for k, layer in enumerate(dm.layers[u], 1):
+            assert layer == sum(1 << v for v, dist in ref[u].items() if dist == k)
 
 
 def test_distance_matrix_disconnected_names_pair():

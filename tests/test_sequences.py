@@ -308,13 +308,14 @@ def _assert_hits_are_changed_sources(g):
     # distance from s; a vertex that g - v cannot reach counts as changed.
     G = to_nx(g)
     dm = distance_matrix(g)
+    dist = dm.d
     for s in range(g.n):
-        _, hit = sequences._source_layers(g.bits, dm.d[s])
+        hit = sequences._sole_parents(g.bits, dm.layers[s])
         assert not hit >> s & 1
         for v in set(range(g.n)) - {s}:
             reached = nx.single_source_shortest_path_length(G.subgraph(set(G) - {v}), s)
             changed = any(
-                reached.get(t) != dm.d[s][t] for t in range(g.n) if t != v
+                reached.get(t) != dist[s][t] for t in range(g.n) if t != v
             )
             assert bool(hit >> v & 1) == changed, (write_graph6(g), s, v)
 

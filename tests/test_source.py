@@ -3,11 +3,13 @@
 import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import wienerseq
+from wienerseq import enumeration
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -139,3 +141,31 @@ def test_cli_maps_value_errors_to_exit_codes_in_main_alone():
         ):
             wrong.append(handler.lineno)
     assert not wrong, "cli.py: no InputError raised at lines %s" % sorted(wrong)
+
+
+# The cap each "Verified orders" row of the README runs up to, in the
+# table's order, which is also the order of its reproduce loops.
+README_ROW_CAPS = (
+    "CONNECTED_MAX_N",  # (i) order_size
+    "CONNECTED_MAX_N",  # (ii) connectivity
+    "APOLLONIAN_MAX_N",  # (iii) Apollonian networks
+    "K_TREE_MAX_N",  # (iii) 2-trees
+    "ODD_TREE_MAX_N",  # (iv) odd trees
+    "K_TREE_MAX_N",  # trees and 3-trees
+    "MAX_K_DEGENERATE_MAX_N",  # maximal k-degenerate graphs
+    "MAXIMAL_PLANAR_MAX_N",  # maximal planar graphs
+    "CONNECTED_MAX_N",  # the deletion bound
+)
+
+
+def test_readme_orders_match_the_caps():
+    # A raised order cap must raise the README's table and its commands too.
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Verified orders"):]
+    rows = re.findall(r"^\| [^|]+ \|[^|]+\| ([^|]+) \|", section, re.M)[1:]
+    loops = re.findall(r"^for (?:.*? )?n in (.*?);", section, re.M)
+    caps = [getattr(enumeration, name) for name in README_ROW_CAPS]
+    assert len(rows) == len(loops) == len(caps)
+    for orders, loop, cap in zip(rows, loops, caps):
+        assert int(re.findall(r"\d+", orders)[-1]) == cap, orders
+        assert int(re.findall(r"\d+", loop)[-1]) == cap, loop
