@@ -4,18 +4,23 @@ The canonical labeling is the vertex ordering whose graph6 record is
 lexicographically largest over the orderings that respect the graph's
 equitable partition.  Colour refinement (the root stage of individualization
 and refinement in McKay & Piperno, "Practical graph isomorphism, II", 2014)
-splits the unit partition by neighbour counts per cell until the number of
-cells stops growing, and ranks the cells in an isomorphism-invariant order.
-An allowed ordering lists the cells in rank order, so position i always
-takes a vertex of the same cell; isomorphic graphs have the same set of
-allowed records, which makes their maximum a canonical form.  The maximum
-is found by a branch-and-bound search over placements: placing a vertex
-appends its adjacency column toward the already placed prefix, so
-candidate orderings are pruned as soon as a column falls below the best
-known one.  Twin vertices (equal open or closed neighborhoods) are
-interchangeable by an automorphism, so they share a cell and only one
-representative per group is branched on.  When refinement ends with one
-vertex per cell, only one ordering is allowed and no search runs.
+splits the degree partition by neighbour counts per cell until no cell
+splits, and ranks the cells in an isomorphism-invariant order.  The
+vertices of one cell have equal counts into every cell of the round
+before, so each round counts neighbours only in the cells that the last
+round made by splitting.  An allowed ordering lists the cells in rank
+order, so position i always takes a vertex of the same cell; isomorphic
+graphs have the same set of allowed records, which makes their maximum a
+canonical form.  The maximum is found by a branch-and-bound search over
+placements: placing a vertex appends its adjacency column toward the
+already placed prefix, so candidate orderings are pruned as soon as a
+column falls below the best known one.  Twin vertices (equal open or
+closed neighborhoods) are interchangeable by an automorphism, so they
+share a cell and only one representative per group is branched on.  When
+refinement ends with every cell a class of twins (one vertex per cell is
+the least case), that leaves one representative at every level, so no
+search runs: the canonical ordering lists each cell's vertices in
+ascending order.
 
 Every class is grown by one routine: each graph of a parent class yields
 its children, each child is relabeled canonically, and the set of canonical
@@ -41,7 +46,8 @@ runs and shard counts.
 A Graph is its adjacency masks, and children and canonical graphs are
 built from masks alone: a child's masks are its parent's plus the new
 vertex's (or, for a flip, the parent's with one edge swapped), and a
-canonical graph's masks are read off the winning columns of the search.
+canonical graph's masks are the child's masks relabeled by the canonical
+ordering, the routine that relabel uses.
 Each parent is a validated Graph, so these Graphs skip the checks of
 Graph(n, edges), and no edge list is made for them.
 
@@ -87,6 +93,7 @@ from wienerseq.graphs import (
     Graph,
     _connected_without,
     _iter_bits,
+    _relabeled,
     degeneracy_check,
     is_connected,
     is_k_connected,
@@ -122,27 +129,41 @@ def _cells(bits: tuple[int, ...], n: int) -> list[int]:
     # each of its vertices has in every cell (packed in base n, since a
     # count is below n); the parts keep the rank of the cell and are ranked
     # among themselves by those counts, so the ranking is
-    # isomorphism-invariant.
-    cells = [(1 << n) - 1]
+    # isomorphism-invariant.  The vertices of a cell have equal counts into
+    # each cell that the last round kept whole, since it was a cell when
+    # theirs was made, so only the counts into the cells that the last
+    # round made by splitting can differ: the key holds those alone, in
+    # rank order, which ranks the parts as the full key does.  The first
+    # round keys on the unit cell: the degree.
+    parts: dict[int, int] = {}
+    for v, b in enumerate(bits):
+        d = b.bit_count()
+        parts[d] = parts.get(d, 0) | 1 << v
+    cells = new = [parts[d] for d in sorted(parts)]
     while len(cells) < n:
         refined = []
+        split = []
         for cell in cells:
             if not cell & (cell - 1):
                 refined.append(cell)
                 continue
-            parts: dict[int, int] = {}
+            parts = {}
             while cell:
                 low = cell & -cell
                 cell ^= low
                 b = bits[low.bit_length() - 1]
                 key = 0
-                for c in cells:
+                for c in new:
                     key = key * n + (b & c).bit_count()
                 parts[key] = parts.get(key, 0) | low
-            refined.extend(parts[key] for key in sorted(parts))
-        if len(refined) == len(cells):
+            made = [parts[key] for key in sorted(parts)]
+            refined.extend(made)
+            if len(made) > 1:
+                split.extend(made)
+        if not split:
             break
         cells = refined
+        new = split
     return cells
 
 
@@ -206,41 +227,43 @@ def _branch(
     return best_order, best_cols
 
 
-def _search(bits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], list[int]]:
-    # The allowed ordering with the maximal record, and its columns.
+def _search(bits: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # The allowed ordering with the maximal record.  When every cell is a
+    # class of twins (each vertex has the open or the closed neighbourhood
+    # of the cell's lowest vertex), swapping two of them is an automorphism
+    # and they all have one column toward any prefix, so _branch would
+    # place one representative per level, the lowest left: the cells'
+    # vertices in ascending order.  A discrete partition is the case of
+    # one vertex per cell.
     cells = _cells(bits, n)
-    if len(cells) == n:
-        # A discrete partition allows one ordering only: nothing to search.
-        order = [c.bit_length() - 1 for c in cells]
-        cols = [_column(bits[v], order[:i]) for i, v in enumerate(order)]
-    else:
-        order, cols = _branch(bits, n, cells)
-        if order is None or cols is None:
-            raise RuntimeError("canonical search placed no ordering of %d vertices" % n)
-    return tuple(order), cols
+    order: list[int] = []
+    for cell in cells:
+        low = cell & -cell
+        b = bits[low.bit_length() - 1]
+        while cell:
+            other = cell & -cell
+            v = other.bit_length() - 1
+            if bits[v] != b and bits[v] | other != b | low:
+                best = _branch(bits, n, cells)[0]
+                if best is None:
+                    raise RuntimeError(
+                        "canonical search placed no ordering of %d vertices" % n
+                    )
+                return tuple(best)
+            order.append(v)
+            cell ^= other
+    return tuple(order)
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:
     """Vertex ordering whose graph6 record is maximal over the orderings
     that list the cells of the equitable partition in rank order."""
-    return _search(g.bits, g.n)[0]
+    return _search(g.bits, g.n)
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """g relabeled by its canonical order, built from the search's columns."""
-    cols = _search(g.bits, g.n)[1]
-    bits = [0] * g.n
-    for i, col in enumerate(cols):
-        # Bit k of column i is the pair of positions i - 1 - k and i.  The
-        # loop is written out because it runs for every labeled child: a
-        # call to _iter_bits per column makes it about 50% slower.
-        while col:
-            low = col & -col
-            j = i - low.bit_length()
-            bits[i] |= 1 << j
-            bits[j] |= 1 << i
-            col ^= low
-    return Graph._from_bits(tuple(bits))
+    """g relabeled by its canonical order."""
+    return _relabeled(g.bits, _search(g.bits, g.n))
 
 
 def canonical_form(g: Graph) -> str:

@@ -277,14 +277,30 @@ def graph_power(g: Graph, k: int) -> Graph:
     return Graph._from_bits(tuple(bits))
 
 
+def _relabeled(bits: tuple[int, ...], order: tuple[int, ...]) -> Graph:
+    # The Graph whose vertex i is vertex order[i] of the graph with masks
+    # bits, for a permutation order: row i is the OR of at[u], the bit of
+    # u's new label, over the neighbours u of order[i].
+    at = [0] * len(bits)
+    for i, v in enumerate(order):
+        at[v] = 1 << i
+    rows = []
+    for v in order:
+        b = bits[v]
+        row = 0
+        while b:
+            low = b & -b
+            row |= at[low.bit_length() - 1]
+            b ^= low
+        rows.append(row)
+    return Graph._from_bits(tuple(rows))
+
+
 def relabel(g: Graph, order: tuple[int, ...]) -> Graph:
     """Graph with new label i standing for old vertex order[i]."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order %r is not a permutation of 0..%d" % (order, g.n - 1))
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+    return _relabeled(g.bits, order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""The labeler that colour refinement replaced, kept as a slow oracle.
+"""The labeler that colour refinement replaced, and the refinement that
+keyed on every cell, kept as slow oracles.
 
 `canonical_order` below is the package's labeler before the equitable
 partition was added, unchanged: the graph6 record maximal over all vertex
 orderings.  It and the package's labeler are both canonical forms, so they
 must split graphs into the same isomorphism classes, though the records
-they choose differ.
+they choose differ.  `old_cells` must give the package's `_cells` ordered
+cell list exactly.
 """
 
 from __future__ import annotations
 
 from wienerseq import Graph, relabel, write_graph6
-
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:
@@ -71,3 +72,30 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 
 def old_canonical_form(g: Graph) -> str:
     return write_graph6(relabel(g, canonical_order(g)))
+
+
+def old_cells(bits: tuple[int, ...], n: int) -> list[int]:
+    """The package's colour refinement before its key was cut to the cells
+    the last round split, unchanged: every vertex keyed on its counts into
+    every cell, each round."""
+    cells = [(1 << n) - 1]
+    while len(cells) < n:
+        refined = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            while cell:
+                low = cell & -cell
+                cell ^= low
+                b = bits[low.bit_length() - 1]
+                key = 0
+                for c in cells:
+                    key = key * n + (b & c).bit_count()
+                parts[key] = parts.get(key, 0) | low
+            refined.extend(parts[key] for key in sorted(parts))
+        if len(refined) == len(cells):
+            break
+        cells = refined
+    return cells

@@ -1,6 +1,7 @@
 """The labeler against the one it replaced, and on graphs that colour
 refinement cannot split or splits down to the automorphism orbits; the
-Graphs built from masks against the validated constructor and relabel."""
+refinement against the one that keyed on every cell; the Graphs built from
+masks against the validated constructor and relabel."""
 
 import hashlib
 import random
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import arbitrary_graphs, from_nx
-from old_labeler import old_canonical_form
+from old_labeler import old_canonical_form, old_cells
 from wienerseq import (
     Graph,
     canonical_form,
     canonical_graph,
     canonical_order,
+    complete,
     cycle,
     enumerate_class,
     enumerate_maximal_planar,
@@ -26,7 +28,15 @@ from wienerseq import (
     star,
 )
 from wienerseq import enumeration
-from wienerseq.enumeration import _all_graphs, _attach, _branch, _cells, _flips, _search
+from wienerseq.enumeration import (
+    _all_graphs,
+    _attach,
+    _branch,
+    _cells,
+    _column,
+    _flips,
+    _search,
+)
 
 # spec -> (classes, first 16 hex digits of the sha256 of the records that
 # the max-over-all-orderings labeler gave the class, sorted, one per line).
@@ -208,25 +218,63 @@ def test_flips_are_mask_built():
             assert h.m == g.m and len(set(g.edges) ^ set(h.edges)) == 2
 
 
-def test_discrete_partition_skips_the_search(monkeypatch):
-    # With one vertex per cell the only allowed ordering is the cells in
-    # rank order, so _search takes it without calling _branch, and it is
-    # the ordering and columns that _branch finds.  The old labeler
+def _labeled_children(n):
+    # Every child that _all_graphs(n) labels: each graph of order k < n with
+    # every neighbourhood of the new vertex, 11,290 for n = 7.
+    return [
+        _attach(g, mask)
+        for k in range(1, n)
+        for g in _all_graphs(k)
+        for mask in range(1 << k)
+    ]
+
+
+def test_refinement_matches_the_full_key_refinement():
+    # Keying only on the cells the last round split gives the ordered cell
+    # list that keying on every cell gave.  Of the 11,290 children that
+    # _all_graphs(7) labels, 2,320 end with one vertex per cell.
+    children = _labeled_children(7)
+    cells = [_cells(g.bits, g.n) for g in children]
+    assert len(children) == 11290
+    assert sum(len(c) == g.n for g, c in zip(children, cells)) == 2320
+    assert cells == [old_cells(g.bits, g.n) for g in children]
+    for g in _random_graphs(2000, 12, seed=26):
+        assert _cells(g.bits, g.n) == old_cells(g.bits, g.n)
+
+
+def test_twin_class_partitions_skip_the_search(monkeypatch):
+    # When every cell is a class of twins, and with one vertex per cell in
+    # particular, _branch would place the cells' vertices in ascending
+    # order, so _search takes that ordering without calling _branch, and
+    # the canonical graph has the columns _branch finds.  The old labeler
     # maximises over all orderings, so its records differ, but both split
     # graphs alike.
-    graphs = [SPIDER] + [
+    discrete = [SPIDER] + [
         g for g in _random_graphs(400, 9, seed=7) if len(_cells(g.bits, g.n)) == g.n
     ]
-    assert len(graphs) > 50
+    assert len(discrete) > 50
+    twins = (
+        [star(n) for n in range(3, 10)]
+        + [complete(n) for n in range(2, 10)]
+        + [
+            _nx(nx.complete_bipartite_graph(a, b))
+            for a in range(1, 6)
+            for b in range(a + 1, 7)
+        ]
+    )
+    for g in twins:
+        assert len(_cells(g.bits, g.n)) < g.n
+    graphs = discrete + twins
     searched = [_branch(g.bits, g.n, _cells(g.bits, g.n)) for g in graphs]
 
-    def no_discrete(bits, n, cells):
-        assert len(cells) < n, "searched a discrete partition"
-        return _branch(bits, n, cells)
+    def no_branch(bits, n, cells):
+        raise AssertionError("searched a partition of twin classes")
 
-    monkeypatch.setattr(enumeration, "_branch", no_discrete)
+    monkeypatch.setattr(enumeration, "_branch", no_branch)
     for g, (order, cols) in zip(graphs, searched):
-        assert _search(g.bits, g.n) == (tuple(order), cols)
+        assert _search(g.bits, g.n) == tuple(order)
+        c = canonical_graph(g)
+        assert [_column(c.bits[i], list(range(i))) for i in range(g.n)] == cols
         rng = random.Random(g.n)
         for _ in range(3):
             perm = list(range(g.n))
@@ -234,3 +282,17 @@ def test_discrete_partition_skips_the_search(monkeypatch):
             assert canonical_form(relabel(g, tuple(perm))) == canonical_form(g)
     forms = {canonical_form(g) for g in graphs}
     assert len(forms) == len({old_canonical_form(g) for g in graphs})
+
+    # Of the 11,290 children that _all_graphs(7) labels, 2,320 have a
+    # discrete partition and 6,084 one of twin classes, so _branch runs on
+    # the other 2,886.
+    calls = []
+
+    def counting(bits, n, cells):
+        calls.append(cells)
+        return _branch(bits, n, cells)
+
+    monkeypatch.setattr(enumeration, "_branch", counting)
+    for g in _labeled_children(7):
+        _search(g.bits, g.n)
+    assert len(calls) == 2886

@@ -9,13 +9,14 @@ triangulations.
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arbitrary_graphs, brute_force_isomorphic, from_nx
+from conftest import arbitrary_graphs, brute_force_isomorphic, from_nx, to_nx
 from wienerseq import (
     Graph,
     canonical_form,
@@ -103,6 +104,66 @@ def test_labeled_connected_counts(n, count):
 def test_labeled_collapses_to_unlabeled():
     forms = {canonical_form(g) for g in _labeled_connected(5)}
     assert len(forms) == CONNECTED_COUNTS[5]
+
+
+@lru_cache(maxsize=None)
+def _maximal_k_degenerate_at_8(k):
+    # The maximal k-degenerate graphs among all graphs of order 8, by the
+    # degeneracy check alone.  It calls a graph maximal only at the edge
+    # count sum over i < n of min(i, k), so testing that count first skips
+    # only graphs it rejects.
+    size = sum(min(i, k) for i in range(8))
+    return tuple(
+        g
+        for g in enumeration._all_graphs(8)
+        if g.m == size and degeneracy_check(g, k) == (True, True)
+    )
+
+
+def _is_planar(g):
+    return nx.check_planarity(to_nx(g))[0]
+
+
+def _filter_at_8(name, k):
+    # A class of order 8 as a filter of all graphs of order 8, by tests that
+    # share no code with its grower.
+    if name == "maximal_k_degenerate":
+        return _maximal_k_degenerate_at_8(k)
+    if name == "k_tree":
+        return tuple(g for g in _maximal_k_degenerate_at_8(k) if nx.is_chordal(to_nx(g)))
+    if name == "apollonian":
+        return tuple(g for g in _filter_at_8("k_tree", 3) if _is_planar(g))
+    if name == "maximal_planar":
+        return tuple(
+            g for g in enumeration._all_graphs(8) if g.m == 3 * 8 - 6 and _is_planar(g)
+        )
+    return tuple(g for g in enumeration._all_graphs(8) if is_odd_tree(g))
+
+
+GROWN_AT_8 = {
+    "maximal_k_degenerate": lambda k: enumeration._stacked(8, k, False),
+    "k_tree": lambda k: enumeration._stacked(8, k, True),
+    "apollonian": lambda k: enumerate_apollonian(8),
+    "maximal_planar": lambda k: enumerate_maximal_planar(8),
+    "odd_tree": lambda k: enumerate_odd_trees(8),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k,count",
+    [("maximal_k_degenerate", k, c) for k, c in zip((1, 2, 3, 4), (23, 499, 235, 22))]
+    + [("k_tree", k, c) for k, c in zip((1, 2, 3), (23, 39, 15))]
+    + [("maximal_planar", 0, 14), ("apollonian", 0, 7), ("odd_tree", 0, 3)],
+)
+def test_grown_classes_equal_filters_of_all_graphs_at_order_8(name, k, count):
+    # The canonical-deletion rules, face insertion and the flip closure
+    # drop no class and add none, at one order past the cap of maximal
+    # k-degenerate graphs.  _all_graphs(8) is the one criterion 1 builds,
+    # cached in-process until a test below clears it.
+    grown = {canonical_graph(g) for g in GROWN_AT_8[name](k)}
+    filtered = set(_filter_at_8(name, k))
+    assert len(grown) == count
+    assert grown == filtered
 
 
 @pytest.mark.parametrize(
