@@ -11,12 +11,15 @@ before, so each round counts neighbours only in the cells that the last
 round made by splitting.  An allowed ordering lists the cells in rank
 order, so position i always takes a vertex of the same cell; isomorphic
 graphs have the same set of allowed records, which makes their maximum a
-canonical form.  The maximum is found by a branch-and-bound search over
+canonical form.  The maximum is found by a depth-first search over
 placements: placing a vertex appends its adjacency column toward the
-already placed prefix, so candidate orderings are pruned as soon as a
-column falls below the best known one.  Twin vertices (equal open or
-closed neighborhoods) are interchangeable by an automorphism, so they
-share a cell and only one representative per group is branched on.  When
+already placed prefix.  Every allowed prefix extends to an allowed
+ordering, so one that takes a smaller column than the largest open one is
+beaten by one that takes the largest: each node places only the vertices
+of its largest column, and is cut when its columns fall below the best
+ordering's.  Twin vertices (equal open or closed neighborhoods) are
+interchangeable by an automorphism, so they share a cell and a column, and
+only one representative per class is placed.  When
 refinement ends with every cell a class of twins (one vertex per cell is
 the least case), that leaves one representative at every level, so no
 search runs: the canonical ordering lists each cell's vertices in
@@ -167,22 +170,12 @@ def _cells(bits: tuple[int, ...], n: int) -> list[int]:
     return cells
 
 
-def _column(av: int, prefix: list[int]) -> int:
-    # The adjacency of a vertex (mask av) toward the placed vertices, the
-    # first placed as the most significant bit, so that columns of equal
-    # length compare as the graph6 bits they stand for.
-    col = 0
-    for u in prefix:
-        col = col << 1 | (av >> u & 1)
-    return col
-
-
 def _branch(
     bits: tuple[int, ...], n: int, cells: list[int]
-) -> tuple[list[int] | None, list[int] | None]:
-    # Branch and bound over the orderings that take the cells in rank order:
-    # the one with the maximal columns, and those columns.
-    best_cols: list[int] | None = None
+) -> tuple[list[int] | None, list[int]]:
+    # Depth-first search over the orderings that take the cells in rank
+    # order: the first one found with the maximal columns, and those columns.
+    best_cols: list[int] = []
     best_order: list[int] | None = None
     # cell_at[i] is the cell that position i of every allowed ordering takes.
     cell_at = [c for c in cells for _ in range(c.bit_count())]
@@ -191,37 +184,37 @@ def _branch(
         nonlocal best_cols, best_order
         i = len(order)
         if i == n:
-            if best_cols is None or cols > best_cols:
+            if cols > best_cols:
                 best_cols = cols[:]
                 best_order = order[:]
             return
-        groups: dict[int, list[int]] = {}
+        top = -1
+        reps: list[int] = []
         rest = cell_at[i] & ~placed
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            groups.setdefault(_column(bits[v], order), []).append(v)
-        for col in sorted(groups, reverse=True):
-            if best_cols is not None and cols == best_cols[:i] and col < best_cols[i]:
-                break
-            reps: list[int] = []
-            for v in groups[col]:
-                twin = False
-                for u in reps:
-                    if bits[u] == bits[v] or (
-                        bits[u] | 1 << u == bits[v] | 1 << v
-                    ):
-                        twin = True
-                        break
-                if not twin:
-                    reps.append(v)
+            # v's adjacency toward the placed vertices, the first placed as the
+            # most significant bit, so columns compare as the graph6 bits.
+            b = bits[v]
+            col = 0
+            for u in order:
+                col = col << 1 | (b >> u & 1)
+            # Keep the vertices of the largest column, one per twin class.
+            if col > top:
+                top, reps = col, [v]
+            elif col == top and not any(
+                bits[u] == b or bits[u] | 1 << u == b | low for u in reps
+            ):
+                reps.append(v)
+        cols.append(top)
+        if cols >= best_cols[: i + 1]:
             for v in reps:
                 order.append(v)
-                cols.append(col)
                 dfs(order, placed | 1 << v, cols)
                 order.pop()
-                cols.pop()
+        cols.pop()
 
     dfs([], 0, [])
     return best_order, best_cols
@@ -515,12 +508,11 @@ def _triangulations(n: int) -> tuple[Graph, ...]:
     # Closure of the Apollonian networks under diagonal flips; the flip graph
     # of sphere triangulations of fixed order is connected, so this reaches
     # every isomorphism class.
-    frontier = _apollonian(n)
-    found = set(frontier)
+    frontier = found = set(_apollonian(n))
     while frontier:
-        frontier = set(_grow(frontier, _flips)) - found
+        frontier = {canonical_graph(h) for g in frontier for h in _flips(g)} - found
         found |= frontier
-    return tuple(sorted(found, key=write_graph6))
+    return tuple(sorted(found, key=lambda g: (g.m, write_graph6(g))))
 
 
 def enumerate_maximal_planar(n: int) -> Iterator[Graph]:

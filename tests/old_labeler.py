@@ -1,12 +1,14 @@
-"""The labeler that colour refinement replaced, and the refinement that
-keyed on every cell, kept as slow oracles.
+"""The labeler that colour refinement replaced, the refinement that keyed
+on every cell and the search that branched on every column, kept as slow
+oracles.
 
 `canonical_order` below is the package's labeler before the equitable
 partition was added, unchanged: the graph6 record maximal over all vertex
 orderings.  It and the package's labeler are both canonical forms, so they
 must split graphs into the same isomorphism classes, though the records
 they choose differ.  `old_cells` must give the package's `_cells` ordered
-cell list exactly.
+cell list exactly, and `old_branch` the package's `_branch` ordering and
+columns exactly.
 """
 
 from __future__ import annotations
@@ -99,3 +101,65 @@ def old_cells(bits: tuple[int, ...], n: int) -> list[int]:
             break
         cells = refined
     return cells
+
+
+def _column(av: int, prefix: list[int]) -> int:
+    # The adjacency of a vertex (mask av) toward the placed vertices, the
+    # first placed as the most significant bit, so that columns of equal
+    # length compare as the graph6 bits they stand for.
+    col = 0
+    for u in prefix:
+        col = col << 1 | (av >> u & 1)
+    return col
+
+
+def old_branch(
+    bits: tuple[int, ...], n: int, cells: list[int]
+) -> tuple[list[int] | None, list[int] | None]:
+    """The package's search before each node placed only the vertices of
+    its largest column, unchanged: every column group, largest first."""
+    # Branch and bound over the orderings that take the cells in rank order:
+    # the one with the maximal columns, and those columns.
+    best_cols: list[int] | None = None
+    best_order: list[int] | None = None
+    # cell_at[i] is the cell that position i of every allowed ordering takes.
+    cell_at = [c for c in cells for _ in range(c.bit_count())]
+
+    def dfs(order: list[int], placed: int, cols: list[int]) -> None:
+        nonlocal best_cols, best_order
+        i = len(order)
+        if i == n:
+            if best_cols is None or cols > best_cols:
+                best_cols = cols[:]
+                best_order = order[:]
+            return
+        groups: dict[int, list[int]] = {}
+        rest = cell_at[i] & ~placed
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            groups.setdefault(_column(bits[v], order), []).append(v)
+        for col in sorted(groups, reverse=True):
+            if best_cols is not None and cols == best_cols[:i] and col < best_cols[i]:
+                break
+            reps: list[int] = []
+            for v in groups[col]:
+                twin = False
+                for u in reps:
+                    if bits[u] == bits[v] or (
+                        bits[u] | 1 << u == bits[v] | 1 << v
+                    ):
+                        twin = True
+                        break
+                if not twin:
+                    reps.append(v)
+            for v in reps:
+                order.append(v)
+                cols.append(col)
+                dfs(order, placed | 1 << v, cols)
+                order.pop()
+                cols.pop()
+
+    dfs([], 0, [])
+    return best_order, best_cols

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import arbitrary_graphs, from_nx
-from old_labeler import old_canonical_form, old_cells
+from old_labeler import _column, old_branch, old_canonical_form, old_cells
 from wienerseq import (
     Graph,
     canonical_form,
@@ -33,7 +33,6 @@ from wienerseq.enumeration import (
     _attach,
     _branch,
     _cells,
-    _column,
     _flips,
     _search,
 )
@@ -248,7 +247,9 @@ def test_twin_class_partitions_skip_the_search(monkeypatch):
     # order, so _search takes that ordering without calling _branch, and
     # the canonical graph has the columns _branch finds.  The old labeler
     # maximises over all orderings, so its records differ, but both split
-    # graphs alike.
+    # graphs alike.  The children are built before _branch is patched, so
+    # growing _all_graphs here, when no test before has, is not counted.
+    children = _labeled_children(7)
     discrete = [SPIDER] + [
         g for g in _random_graphs(400, 9, seed=7) if len(_cells(g.bits, g.n)) == g.n
     ]
@@ -293,6 +294,20 @@ def test_twin_class_partitions_skip_the_search(monkeypatch):
         return _branch(bits, n, cells)
 
     monkeypatch.setattr(enumeration, "_branch", counting)
-    for g in _labeled_children(7):
+    for g in children:
         _search(g.bits, g.n)
     assert len(calls) == 2886
+
+
+def test_largest_column_search_matches_the_search_of_every_column():
+    # Placing only each node's largest column finds the ordering and the
+    # columns that branching on every column group found, on all 9,984
+    # children of _all_graphs(6) and on random graphs up to order 12; the
+    # canonical order is that ordering, through the twin-class shortcut too.
+    children = [_attach(g, mask) for g in _all_graphs(6) for mask in range(1 << 6)]
+    assert len(children) == 9984
+    for g in children + list(_random_graphs(2000, 12, seed=27)):
+        cells = _cells(g.bits, g.n)
+        order, cols = old_branch(g.bits, g.n, cells)
+        assert _branch(g.bits, g.n, cells) == (order, cols)
+        assert canonical_order(g) == tuple(order)

@@ -159,7 +159,7 @@ def test_grown_classes_equal_filters_of_all_graphs_at_order_8(name, k, count):
     # The canonical-deletion rules, face insertion and the flip closure
     # drop no class and add none, at one order past the cap of maximal
     # k-degenerate graphs.  _all_graphs(8) is the one criterion 1 builds,
-    # cached in-process until a test below clears it.
+    # cached in-process.
     grown = {canonical_graph(g) for g in GROWN_AT_8[name](k)}
     filtered = set(_filter_at_8(name, k))
     assert len(grown) == count
@@ -187,6 +187,16 @@ def test_enumeration_is_deterministic_and_sorted(spec):
     assert len(set(records)) == len(records)
 
 
+def _fresh_cache(monkeypatch, *names):
+    # Each named growth function gets an empty cache for this test alone.
+    # The growth recurses through the module global, so every level is grown
+    # and counted, and the shared cache, whose levels later tests read, comes
+    # back after the test.
+    for name in names:
+        grow = getattr(enumeration, name).__wrapped__
+        monkeypatch.setattr(enumeration, name, lru_cache(maxsize=None)(grow))
+
+
 def test_growth_encodes_each_kept_class_once(monkeypatch):
     # Classes are compared as Graphs, so graph6 is written only to sort the
     # classes kept at orders 2..5: 2 + 4 + 11 + 34, not once for each of the
@@ -198,9 +208,26 @@ def test_growth_encodes_each_kept_class_once(monkeypatch):
         return write_graph6(g)
 
     monkeypatch.setattr(enumeration, "write_graph6", counting)
-    enumeration._all_graphs.cache_clear()
+    _fresh_cache(monkeypatch, "_all_graphs")
     assert len(enumeration._all_graphs(5)) == 34
     assert len(calls) == 51
+
+
+def test_flip_closure_encodes_each_kept_class_once(monkeypatch):
+    # Each round of the flip closure collects canonical graphs unsorted, so
+    # graph6 is written only to sort the 50 triangulations of order 9 once,
+    # not for every class of every round, which took 170 calls.
+    enumeration._apollonian(9)
+    _fresh_cache(monkeypatch, "_triangulations")
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return write_graph6(g)
+
+    monkeypatch.setattr(enumeration, "write_graph6", counting)
+    assert len(enumeration._triangulations(9)) == 50
+    assert len(calls) == 50
 
 
 def test_growth_validates_no_child(monkeypatch):
@@ -216,7 +243,7 @@ def test_growth_validates_no_child(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Graph, "__init__", counting)
-    enumeration._all_graphs.cache_clear()
+    _fresh_cache(monkeypatch, "_all_graphs")
     assert len(enumeration._all_graphs(5)) == 34
     assert calls == [(1,)]
 
@@ -233,8 +260,7 @@ def test_growth_labels_only_canonical_deletions(monkeypatch):
         return canonical_graph(g)
 
     monkeypatch.setattr(enumeration, "canonical_graph", counting)
-    enumeration._stacked.cache_clear()
-    enumeration._apollonian.cache_clear()
+    _fresh_cache(monkeypatch, "_stacked", "_apollonian")
     assert len(enumeration._stacked(10, 3, True)) == 275
     assert len(calls) == 513
     calls.clear()
@@ -255,7 +281,7 @@ def test_odd_tree_growth_labels_each_class_once(monkeypatch):
         return canonical_graph(g)
 
     monkeypatch.setattr(enumeration, "canonical_graph", counting)
-    enumeration._odd_trees.cache_clear()
+    _fresh_cache(monkeypatch, "_odd_trees")
     assert len(enumeration._odd_trees(12)) == 13
     assert len(calls) == 26
     assert len(enumeration._odd_trees(14)) == 32
@@ -274,7 +300,7 @@ def test_tree_chain_labels_each_class_once(monkeypatch):
         return canonical_graph(g)
 
     monkeypatch.setattr(enumeration, "canonical_graph", counting)
-    enumeration._stacked.cache_clear()
+    _fresh_cache(monkeypatch, "_stacked")
     assert len(enumeration._stacked(10, 1, False)) == 106
     assert len(calls) == 199
 

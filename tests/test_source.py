@@ -1,4 +1,4 @@
-"""Rules on the package source itself."""
+"""Rules on the package source itself, and one on the tests."""
 
 import ast
 import importlib
@@ -23,6 +23,21 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, "assert statements in the package: %s" % ", ".join(found)
+
+
+def test_tests_do_not_clear_shared_caches():
+    # Clearing a growth cache drops levels that later tests read, and they
+    # rebuild them; a test that needs a fresh growth patches in its own cache.
+    found = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cache_clear"
+            ):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "cache_clear calls in the tests: %s" % ", ".join(found)
 
 
 def test_tracer_patches_resolve():
