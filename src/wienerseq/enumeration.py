@@ -103,7 +103,7 @@ from wienerseq.graphs import (
     is_odd_tree,
     write_graph6,
 )
-from wienerseq.specs import Entry, parse_spec
+from wienerseq.specs import Entry, _check_range, parse_spec
 
 CONNECTED_MAX_N = 8
 K_TREE_MAX_N = 10
@@ -112,18 +112,6 @@ MAX_K_DEGENERATE_MAX_N = 7
 APOLLONIAN_MAX_N = 11
 ODD_TREE_MAX_N = 14
 MAXIMAL_PLANAR_MAX_N = 9
-
-
-def _check_range(
-    what: str, value: int, low: int, high: int | None = None, step: int = 1
-) -> None:
-    # The range rule of every enumerator: value is one of low, low + step,
-    # ... up to high, with no upper end when high is None.
-    if value < low or high is not None and value > high or (value - low) % step:
-        span = "%d..%s" % (low, "" if high is None else high)
-        if step > 1:
-            span += " step %d" % step
-        raise ValueError("%s must be in %s, got %r" % (what, span, value))
 
 
 def _cells(bits: tuple[int, ...], n: int) -> list[int]:
@@ -313,8 +301,8 @@ def enumerate_connected(n: int, m: int | None = None) -> Iterator[Graph]:
 
 
 def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
-    """Connected graphs of order n with vertex connectivity at least kappa;
-    is_k_connected rejects a kappa below 1 at the first graph."""
+    """Connected graphs of order n with vertex connectivity at least kappa."""
+    _check_range("kappa", kappa, 1)
     for g in enumerate_connected(n):
         if is_k_connected(g, kappa):
             yield g

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from wienerseq.graphs import Graph, graph_power
 from wienerseq.sequences import DistanceSequence
-from wienerseq.specs import Entry, parse_spec
+from wienerseq.specs import Entry, _check_range, parse_spec
 
 
 def complete(n: int) -> Graph:
@@ -24,8 +24,7 @@ def path(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+    _check_range("order", n, 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -44,8 +43,7 @@ def path_complete(n: int, m: int) -> Graph:
     the complete graph.  Size ranges cover n-1 <= m <= n(n-1)/2.
     """
     pairs = n * (n - 1) // 2
-    if not (n - 1 <= m <= pairs):
-        raise ValueError("need n-1 <= m <= n(n-1)/2, got n=%d m=%d" % (n, m))
+    _check_range("size at order %d" % n, m, n - 1, pairs)
     if m == pairs:
         return complete(n)
     q, t = _path_complete_parameters(n, m)
@@ -85,8 +83,7 @@ def end_vertex_sequence_path_power(n: int, k: int) -> DistanceSequence:
     With s = (n - 1) // k the sorted distances are 1..s each k times,
     then s + 1 repeated n - 1 - s*k times.
     """
-    if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n, got n=%d k=%d" % (n, k))
+    _check_range("k at order %d" % n, k, 1, n - 1)
     s = (n - 1) // k
     runs = [(d, k) for d in range(1, s + 1)]
     rest = n - 1 - s * k
@@ -102,8 +99,7 @@ def odd_caterpillar(n: int) -> Graph:
     leaf hung on each internal spine vertex; leaf labels follow spine
     position.  For n = 4 this degenerates to the star on 4 vertices.
     """
-    if n < 4 or n % 2:
-        raise ValueError("defined for even n >= 4, got %r" % (n,))
+    _check_range("order", n, 4, step=2)
     if n == 4:
         return star(4)
     half = n // 2

@@ -33,6 +33,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from wienerseq.specs import _check_range
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed graph6 records or edge-list documents."""
@@ -58,8 +60,7 @@ class Graph:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 1:
-            raise ValueError("graph order must be at least 1, got %r" % (n,))
+        _check_range("order", n, 1)
         bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -98,13 +99,17 @@ class Graph:
         return sum(map(int.bit_count, self.bits)) // 2
 
     def degree(self, v: int) -> int:
+        _check_range("vertex", v, 0, self.n - 1)
         return self.bits[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
+        _check_range("vertex", v, 0, self.n - 1)
         return tuple(_iter_bits(self.bits[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_range("vertex", u, 0, self.n - 1)
+        _check_range("vertex", v, 0, self.n - 1)
         return bool(self.bits[u] >> v & 1)
 
     def __eq__(self, other: object) -> bool:
@@ -205,15 +210,13 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_cut_vertex(g: Graph, v: int) -> bool:
-    if not (0 <= v < g.n):
-        raise ValueError("vertex %r out of range" % (v,))
+    _check_range("vertex", v, 0, g.n - 1)
     return not _connected_without(g, 1 << v)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff g has more than k vertices and no cutset smaller than k."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_range("k", k, 1)
     if g.n <= k:
         return False
     # Every vertex set of size 0..k - 1, smallest first; removing none is
@@ -243,8 +246,7 @@ def degeneracy_check(g: Graph, k: int) -> tuple[bool, bool]:
     than min(i - 1, k) earlier neighbours, and an edge to an earlier
     non-neighbour keeps the order a degeneracy order.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_range("k", k, 1)
     alive = (1 << g.n) - 1
     while alive:
         degree, v = min(
@@ -265,8 +267,7 @@ def is_odd_tree(g: Graph) -> bool:
 
 def graph_power(g: Graph, k: int) -> Graph:
     """k-th power: join vertices at distance at most k.  Needs connected input."""
-    if k < 1:
-        raise ValueError("power exponent must be positive")
+    _check_range("exponent", k, 1)
     full = (1 << g.n) - 1
     bits = []
     for u in range(g.n):

@@ -22,7 +22,7 @@ from wienerseq.sequences import (
     Dominance,
     compare,
 )
-from wienerseq.specs import Entry, parse_spec
+from wienerseq.specs import Entry, _check_range, parse_spec
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -236,10 +236,7 @@ def _order_size_bound(
     if defn.kind != F_SUM:
         raise ValueError("order-size bound is defined for sum-type indices only")
     pairs = n * (n - 1) // 2
-    if not (n - 1 <= m <= pairs):
-        raise ValueError(
-            "need n-1 <= m <= n(n-1)/2, got n=%d m=%d" % (n, m)
-        )
+    _check_range("size at order %d" % n, m, n - 1, pairs)
     return _value(defn, ((1, m), (2, pairs - m)))
 
 

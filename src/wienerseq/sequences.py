@@ -58,6 +58,7 @@ from wienerseq.graphs import (
     _layers,
     distance_matrix,
 )
+from wienerseq.specs import _check_range
 
 
 class DistanceSequence:
@@ -244,8 +245,7 @@ def distance_sequence(g: Graph) -> DistanceSequence:
 
 def vertex_distance_sequence(g: Graph, v: int) -> DistanceSequence:
     """Sorted distances from v to all other vertices; length n - 1."""
-    if not (0 <= v < g.n):
-        raise ValueError("vertex %r out of range" % (v,))
+    _check_range("vertex", v, 0, g.n - 1)
     return _from_counts(_vertex_counts(g, v))
 
 
@@ -263,8 +263,7 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
     distances from v.  Equality is predicted exactly when every two
     neighbors of v are at distance at most 2 in g - v.
     """
-    if not (0 <= v < g.n):
-        raise ValueError("vertex %r out of range" % (v,))
+    _check_range("vertex", v, 0, g.n - 1)
     if g.n == 1:
         raise ValueError("cannot delete the only vertex")
     # v's BFS runs first, so a disconnected g raises with the pair

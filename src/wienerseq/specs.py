@@ -5,6 +5,10 @@ arguments separated by commas.  Each kind keeps one table beside its
 functions that maps a name to an ``Entry``: what the name stands for, its
 argument names with the type each is converted to, and how many of them
 must be given (the rest may be left off the end).
+
+Integer arguments are then held to one range rule, ``_check_range``: a
+value outside its range raises a ValueError that reads
+``<what> must be in <low>..[<high>][ step <s>], got <value>``.
 """
 
 from __future__ import annotations
@@ -50,3 +54,15 @@ def parse_spec(spec: str, table: Mapping[str, Any], kind: str) -> tuple[str, tup
         return name, tuple(convert(p) for convert, p in zip(types, parts))
     except ValueError:
         raise bad from None
+
+
+def _check_range(
+    what: str, value: int, low: int, high: int | None = None, step: int = 1
+) -> None:
+    # The range rule of every integer argument: value is one of low,
+    # low + step, ... up to high, with no upper end when high is None.
+    if value < low or high is not None and value > high or (value - low) % step:
+        span = "%d..%s" % (low, "" if high is None else high)
+        if step > 1:
+            span += " step %d" % step
+        raise ValueError("%s must be in %s, got %r" % (what, span, value))

@@ -3,10 +3,10 @@
 Each suite enumerates a class, compares every member's distance sequence
 against the extremal family for that class, re-checks the index
 consequences with exact arithmetic, and emits a deterministic report.
-A run with ``jobs`` workers splits the members into ``jobs`` shards by
-position in the enumeration stream; shard results merge associatively
-(counts add, violation and witness lists are sorted), so reports are
-identical for any number of jobs.
+A run with ``jobs`` splits the members into min(jobs, members) shards by
+position in the enumeration stream, run in at most one worker per CPU;
+shard results merge associatively (counts add, violation and witness
+lists are sorted), so reports are identical for any number of jobs.
 
 The comparison with the extremal sequence and the exact index battery
 depend only on the pair (sequence, extremal sequence), and many members of
@@ -74,6 +74,7 @@ from wienerseq.sequences import (
     distance_sequence,
     vertex_distance_sequence,
 )
+from wienerseq.specs import _check_range
 
 
 # Exact-arithmetic built-ins only, so inequalities are decided without
@@ -310,8 +311,7 @@ def _violation_sort_key(v: dict) -> str:
 def _run(
     suite: str, params: dict, graphs: Iterable[Graph], jobs: int
 ) -> VerificationReport:
-    if jobs < 1:
-        raise ValueError("job count must be positive, got %r" % (jobs,))
+    _check_range("jobs", jobs, 1)
     # elapsed_s times the check phase only, not enumeration or encoding
     records = [write_graph6(g) for g in graphs]
     start = time.monotonic()
@@ -354,12 +354,8 @@ def verify_connectivity(n: int, kappa: int, jobs: int = 1) -> VerificationReport
     """Every kappa-connected graph of order n against the cycle power
     C_n^(kappa/2); for kappa = 2 the equality class must be exactly the
     cycle."""
-    if kappa % 2 or kappa < 2:
-        raise ValueError(
-            "only even connectivity targets are supported, got %r" % (kappa,)
-        )
-    if n < kappa + 1:
-        raise ValueError("no %d-connected graphs of order %d" % (kappa, n))
+    _check_range("kappa", kappa, 2, step=2)
+    _check_range("order at kappa %d" % kappa, n, kappa + 1)
     report = _run(
         "connectivity",
         {"n": n, "kappa": kappa},
@@ -410,8 +406,8 @@ def verify_deletion_bound(n: int, jobs: int = 1) -> VerificationReport:
 def search_maximal_planar(
     n: int, mode: str = "flip", jobs: int = 1
 ) -> VerificationReport:
-    """Best-effort search for a maximal planar graph whose distance
-    sequence is not dominated by the cube of the path.
+    """Search for a maximal planar graph whose distance sequence is not
+    dominated by the cube of the path.
 
     mode="flip" covers the class completely via flip closure (coverage
     "complete", orders 4..MAXIMAL_PLANAR_MAX_N); mode="apollonian" checks

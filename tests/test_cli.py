@@ -26,6 +26,7 @@ import wienerseq
 from conftest import arbitrary_graphs, connected_graphs
 from wienerseq import complete, enumerate_maximal_planar, indices, verifier
 from wienerseq.cli import main
+from wienerseq.enumeration import CONNECTED_MAX_N
 from wienerseq.graphs import is_connected, write_graph6
 from wienerseq.indices import INDICES
 
@@ -291,7 +292,7 @@ def test_verify_reports_agree_across_sharding(tmp_path):
 def test_verify_rejects_bad_suites(capsys):
     assert main(["verify", "--suite", "nonsense:5"]) == 2
     assert main(["verify", "--suite", "order_size"]) == 2
-    assert main(["verify", "--suite", "order_size:9"]) == 2
+    assert main(["verify", "--suite", "order_size:%d" % (CONNECTED_MAX_N + 1)]) == 2
     assert main(["verify", "--suite", "connectivity:6,3"]) == 2
     for spec in ("order_size:6,7", "connectivity:6", "order_size:x", "order_size:6,",
                  "k_degenerate:6,2,", "k_degenerate:6,2,k_tree,1"):

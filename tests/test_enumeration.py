@@ -660,33 +660,27 @@ def test_brute_force_isomorphic_examples():
 
 
 def test_enumeration_ceilings():
-    with pytest.raises(ValueError):
-        list(enumerate_connected(9))
     for m in (-1, 11):
         with pytest.raises(ValueError):
             list(enumerate_connected(5, m))
     assert list(enumerate_connected(5, 3)) == []
     assert [g.m for g in enumerate_connected(5, 10)] == [10]
     with pytest.raises(ValueError):
-        list(enumerate_k_trees(11, 2))
-    with pytest.raises(ValueError):
-        list(enumerate_k_trees(8, 4))
+        list(enumerate_k_trees(8, enumeration.K_TREE_MAX_K + 1))
     with pytest.raises(ValueError):
         list(enumerate_k_trees(2, 2))
     for n, k in ((8, 2), (5, 0)):
         with pytest.raises(ValueError):
             list(enumerate_maximal_k_degenerate(n, k))
-    with pytest.raises(ValueError):
-        list(enumerate_odd_trees(7))
-    with pytest.raises(ValueError):
-        list(enumerate_odd_trees(16))
-    with pytest.raises(ValueError):
-        list(enumerate_maximal_planar(10))
-    with pytest.raises(ValueError):
-        list(enumerate_apollonian(12))
-    # is_k_connected rejects kappa = 0 at the first graph
-    with pytest.raises(ValueError):
-        list(enumerate_k_connected(4, 0))
+
+
+def test_k_connected_rejects_kappa_before_generating(monkeypatch):
+    # A kappa below 1 raises before _all_graphs builds a single level, so
+    # rejecting it costs nothing at any order.
+    _fresh_cache(monkeypatch, "_all_graphs")
+    with pytest.raises(ValueError, match=r"^kappa must be in 1\.\., got 0$"):
+        next(enumerate_k_connected(8, 0))
+    assert enumeration._all_graphs.cache_info().currsize == 0
 
 
 # (class, arguments after the order, lowest order, highest order, step
@@ -715,9 +709,10 @@ def test_order_ranges_cover_every_class():
     ids=[":".join(map(str, (name, *rest))) for name, rest, *_ in ORDER_RANGES],
 )
 def test_order_range_of_every_class(name, rest, low, high, step):
-    # The orders just outside the range raise before anything is generated,
-    # and the lowest order yields a graph.
-    outside = [low - 1, high + 1] + ([low + 1] if step > 1 else [])
+    # The orders one step outside the range, and for a step above 1 an
+    # order between two steps, raise before anything is generated; the
+    # lowest order yields a graph.
+    outside = [low - step, high + step] + ([low + 1] if step > 1 else [])
     for n in outside:
         with pytest.raises(ValueError):
             next(enumerate_class(name, (n, *rest)))

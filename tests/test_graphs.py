@@ -60,11 +60,11 @@ def test_edge_list_rejects_an_empty_document():
 
 def test_predicates_reject_bad_arguments():
     for v in (-1, 3):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"vertex must be in 0\.\.2, got"):
             is_cut_vertex(path(3), v)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"k must be in 1\.\., got 0"):
         is_k_connected(path(3), 0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"k must be in 1\.\., got 0"):
         degeneracy_check(path(3), 0)
 
 

@@ -37,6 +37,12 @@ from wienerseq import (
     write_graph6,
 )
 from wienerseq import sequences, verifier
+from wienerseq.enumeration import (
+    APOLLONIAN_MAX_N,
+    CONNECTED_MAX_N,
+    K_TREE_MAX_N,
+    MAXIMAL_PLANAR_MAX_N,
+)
 from wienerseq.verifier import SUITES, _BATTERY, _check_k_degenerate
 
 
@@ -339,17 +345,17 @@ def test_maximal_planar_coverage_labels():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: verify_order_size(9),
+        lambda: verify_order_size(CONNECTED_MAX_N + 1),
         lambda: verify_order_size(1),
-        lambda: verify_connectivity(9, 2),
+        lambda: verify_connectivity(CONNECTED_MAX_N + 1, 2),
         lambda: verify_k_degenerate(6, 2, klass="nope"),
-        lambda: verify_k_degenerate(11, 2, klass="k_tree"),
+        lambda: verify_k_degenerate(K_TREE_MAX_N + 1, 2, klass="k_tree"),
         lambda: verify_odd_trees(7),
         lambda: search_maximal_planar(3),
-        lambda: search_maximal_planar(10),
+        lambda: search_maximal_planar(MAXIMAL_PLANAR_MAX_N + 1),
         lambda: search_maximal_planar(6, mode="bad"),
-        lambda: verify_deletion_bound(9),
-        lambda: search_maximal_planar(12, mode="apollonian"),
+        lambda: verify_deletion_bound(CONNECTED_MAX_N + 1),
+        lambda: search_maximal_planar(APOLLONIAN_MAX_N + 1, mode="apollonian"),
         lambda: verify_order_size(4, jobs=0),
     ],
 )
@@ -445,7 +451,7 @@ def test_pool_starts_at_most_a_worker_per_cpu(monkeypatch):
 
 
 def test_suites_reject_bad_parameters():
-    with pytest.raises(ValueError, match="no 4-connected graphs of order 4"):
+    with pytest.raises(ValueError, match=r"order at kappa 4 must be in 5\.\., got 4"):
         verify_connectivity(4, 4)
     with pytest.raises(ValueError, match="mode"):
         search_maximal_planar(5, mode="nope")
