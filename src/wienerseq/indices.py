@@ -196,11 +196,11 @@ def _value(
 ) -> "int | Fraction | float":
     # The index over a run-length sequence: exact (int or Fraction) where
     # the index is rational, a float where its term is.
-    if not runs:
-        raise ValueError("cannot evaluate an index over an empty sequence")
     if defn.kind == PRODUCT:
         return math.prod(value ** count for value, count in runs)
     if defn.kind == MAX:
+        if not runs:
+            raise ValueError("an empty sequence has no maximum")
         return runs[-1][0]
     if defn.kind != F_SUM:
         raise ValueError("unknown index kind %r" % defn.kind)
@@ -214,7 +214,8 @@ def _value(
 
 
 def evaluate(defn: IndexDefinition, seq: DistanceSequence) -> float:
-    """The double nearest the index's value over a nonempty sequence.
+    """The double nearest the index's value over the sequence.  Over the
+    empty sequence a sum is 0 and a product 1; a maximum raises ValueError.
 
     Raises OverflowError when that value lies past the doubles.
     """

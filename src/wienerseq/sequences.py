@@ -86,10 +86,7 @@ class DistanceSequence:
     @classmethod
     def from_entries(cls, entries: Iterable[int]) -> "DistanceSequence":
         """Build from an arbitrary multiset of positive integers."""
-        counts: dict[int, int] = {}
-        for e in entries:
-            counts[e] = counts.get(e, 0) + 1
-        return cls(sorted(counts.items()))
+        return cls((e, 1) for e in sorted(entries))
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)

@@ -5,8 +5,9 @@ against the extremal family for that class, re-checks the index
 consequences with exact arithmetic, and emits a deterministic report.
 A run with ``jobs`` splits the members into min(jobs, members) shards by
 position in the enumeration stream, run in at most one worker per CPU;
-shard results merge associatively (counts add, violation and witness
-lists are sorted), so reports are identical for any number of jobs.
+each shard returns its own report, and reports merge associatively
+(counts add, violation and witness lists are sorted), so reports are
+identical for any number of jobs.
 
 The comparison with the extremal sequence and the exact index battery
 depend only on the pair (sequence, extremal sequence), and many members of
@@ -25,7 +26,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -106,18 +107,11 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self, include_meta: bool = True) -> dict:
-        out: dict = {
-            "suite": self.suite,
-            "params": self.params,
-            "graphs_checked": self.graphs_checked,
-            "violations": self.violations,
-            "equality_witnesses": self.equality_witnesses,
-        }
-        if self.coverage is not None:
-            out["coverage"] = self.coverage
-        if include_meta:
-            out["elapsed_s"] = self.elapsed_s
-            out["shards"] = self.shards
+        out = asdict(self)
+        if self.coverage is None:
+            del out["coverage"]
+        if not include_meta:
+            del out["elapsed_s"], out["shards"]
         return out
 
     def to_json(self, include_meta: bool = True) -> str:
@@ -125,16 +119,7 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            suite=data["suite"],
-            params=dict(data["params"]),
-            graphs_checked=data["graphs_checked"],
-            violations=list(data["violations"]),
-            equality_witnesses=list(data["equality_witnesses"]),
-            elapsed_s=data.get("elapsed_s", 0.0),
-            shards=data.get("shards", 1),
-            coverage=data.get("coverage"),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -280,11 +265,10 @@ def _check_deletion(g: Graph, record: str, params: dict) -> list[dict]:
     return violations
 
 
-def _check_shard(payload: tuple[str, dict, list[str]]) -> dict:
+def _check_shard(payload: tuple[str, dict, list[str]]) -> VerificationReport:
     suite, params, records = payload
     entry = SUITES[suite]
-    violations: list[dict] = []
-    witnesses: list[str] = []
+    report = VerificationReport(suite, params, len(records))
     judged: dict = {}
     for record in records:
         g = parse_graph6(record)
@@ -292,16 +276,12 @@ def _check_shard(payload: tuple[str, dict, list[str]]) -> dict:
             vs, is_equal = _check_extremal(
                 g, record, entry.extremal(g, params), judged
             )
-            violations.extend(vs)
+            report.violations.extend(vs)
             if is_equal:
-                witnesses.append(record)
+                report.equality_witnesses.append(record)
         if entry.check is not None:
-            violations.extend(entry.check(g, record, params))
-    return {
-        "checked": len(records),
-        "violations": violations,
-        "witnesses": witnesses,
-    }
+            report.violations.extend(entry.check(g, record, params))
+    return report
 
 
 def _violation_sort_key(v: dict) -> str:
@@ -324,21 +304,14 @@ def _run(
             parts = list(pool.map(_check_shard, payloads))
     else:
         parts = [_check_shard(p) for p in payloads]
-    violations: list[dict] = []
-    witnesses: list[str] = []
-    checked = 0
-    for part in parts:
-        checked += part["checked"]
-        violations.extend(part["violations"])
-        witnesses.extend(part["witnesses"])
-    violations.sort(key=_violation_sort_key)
-    witnesses.sort()
     return VerificationReport(
         suite=suite,
         params=params,
-        graphs_checked=checked,
-        violations=violations,
-        equality_witnesses=witnesses,
+        graphs_checked=sum(part.graphs_checked for part in parts),
+        violations=sorted(
+            (v for part in parts for v in part.violations), key=_violation_sort_key
+        ),
+        equality_witnesses=sorted(w for part in parts for w in part.equality_witnesses),
         elapsed_s=time.monotonic() - start,
         shards=jobs,
     )

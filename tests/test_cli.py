@@ -79,6 +79,21 @@ def test_compute_json_output(capsys):
     assert entry["name"] == "variable_wiener" and entry["lambda"] == 2.0
 
 
+def test_compute_one_vertex_graph_has_empty_sum_and_product(capsys):
+    # K1 has no pairs: a sum index is the empty sum, a product the empty one
+    argv = ["compute", "--family", "path:1", "--format", "json"]
+    for index in ("wiener", "harary", "mult_wiener"):
+        argv += ["--index", index]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["distance_sequence"] == []
+    assert [(e["name"], e["value"], e["exact_value"]) for e in doc["indices"]] == [
+        ("wiener", 0, "0"),
+        ("harary", 0, "0"),
+        ("mult_wiener", 1, "1"),
+    ]
+
+
 def test_compute_inline_graph6(capsys):
     assert main(["compute", "--input", "D?{"]) == 0
     assert "n=5 m=4" in capsys.readouterr().out
@@ -372,8 +387,8 @@ def test_compute_evaluates_each_index_once(monkeypatch, capsys):
         (["explore", "--class", "maximal_planar:x"], 2),
         (["explore", "--class", "maximal_planar:6,7"], 2),
         (["explore", "--class", "connected:6"], 2),
-        (["compute", "--family", "path:1", "--index", "wiener"], 3),
-        (["compute", "--input", "@", "--index", "harary"], 3),
+        (["compute", "--family", "path:1", "--index", "diameter"], 3),
+        (["compute", "--input", "@", "--index", "diameter"], 3),
         (["compute", "--family", "path:3", "--index", "variable_wiener:5000"], 3),
         (["compute", "--family", "path:3", "--index", "gen_hyper_wiener:3000"], 3),
         (["compute", "--family", "path:3", "--index", "variable_wiener:-20000"], 3),

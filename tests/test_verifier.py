@@ -5,6 +5,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wienerseq import (
     DeletionBoundResult,
@@ -39,10 +41,13 @@ from wienerseq import (
 from wienerseq import sequences, verifier
 from wienerseq.enumeration import (
     APOLLONIAN_MAX_N,
+    CLASSES,
     CONNECTED_MAX_N,
     K_TREE_MAX_N,
     MAXIMAL_PLANAR_MAX_N,
 )
+from wienerseq.families import FAMILIES
+from wienerseq.indices import INDICES
 from wienerseq.verifier import SUITES, _BATTERY, _check_k_degenerate
 
 
@@ -388,6 +393,43 @@ def test_report_json_round_trip():
     }
 
 
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6)
+)
+_reports = st.builds(
+    VerificationReport,
+    suite=st.text(max_size=12),
+    params=st.dictionaries(st.text(max_size=6), _json_scalars, max_size=3),
+    graphs_checked=st.integers(min_value=0),
+    violations=st.lists(
+        st.dictionaries(st.text(max_size=8), _json_scalars, max_size=5), max_size=4
+    ),
+    equality_witnesses=st.lists(st.text(max_size=8), max_size=4),
+    elapsed_s=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    shards=st.integers(min_value=1),
+    coverage=st.one_of(st.none(), st.sampled_from(["complete", "partial"])),
+)
+
+
+@given(_reports)
+def test_report_record_round_trips_and_is_copied(rep):
+    assert VerificationReport.from_dict(rep.to_dict()) == rep
+    assert VerificationReport.from_json(rep.to_json()) == rep
+    lean = {"suite", "params", "graphs_checked", "violations", "equality_witnesses"}
+    if rep.coverage is not None:
+        lean.add("coverage")
+    assert set(rep.to_dict(include_meta=False)) == lean
+    assert set(rep.to_dict()) == lean | {"elapsed_s", "shards"}
+    before = rep.to_json()
+    out = rep.to_dict()
+    out["params"]["added"] = 1
+    out["violations"].append({"kind": "added"})
+    for v in out["violations"]:
+        v["graph6"] = "added"
+    out["equality_witnesses"].append("added")
+    assert rep.to_json() == before
+
+
 def test_reports_identical_across_sharding():
     base = verify_order_size(5).to_json(include_meta=False)
     assert verify_order_size(5, jobs=7).to_json(include_meta=False) == base
@@ -462,6 +504,27 @@ def test_suite_spec_arguments_are_runner_parameters():
     for name, entry in SUITES.items():
         params = inspect.signature(entry.verify).parameters
         assert set(entry.args) | {"jobs"} <= set(params), name
+
+
+@pytest.mark.parametrize(
+    "table,target",
+    [(CLASSES, "target"), (FAMILIES, "target"), (INDICES, "target"), (SUITES, "verify")],
+)
+def test_spec_tables_agree_with_their_functions(table, target):
+    # A spec's arguments fill the first positional parameters; exactly the
+    # first `required` of those parameters lack a default.
+    for name, entry in table.items():
+        params = [
+            p
+            for p in inspect.signature(getattr(entry, target)).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        count = len(entry.args)
+        required = count if entry.required is None else entry.required
+        assert count <= len(params), name
+        assert [p.default is p.empty for p in params] == [
+            i < required for i in range(len(params))
+        ], name
 
 
 def test_passed_reflects_violations():
