@@ -81,9 +81,8 @@ def test_compute_json_output(capsys):
 
 def test_compute_one_vertex_graph_has_empty_sum_and_product(capsys):
     # K1 has no pairs: a sum index is the empty sum, a product the empty one
-    argv = ["compute", "--family", "path:1", "--format", "json"]
-    for index in ("wiener", "harary", "mult_wiener"):
-        argv += ["--index", index]
+    argv = ["compute", "--family", "path:1", "--format", "json", "--index", "wiener",
+            "--index", "harary", "--index", "mult_wiener"]
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["distance_sequence"] == []
