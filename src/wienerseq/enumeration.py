@@ -40,6 +40,10 @@ the children are first deduplicated by their tree code, the AHU code
 for two trees exactly when they are isomorphic, so only one child per
 class is labeled.
 Sphere triangulations close the Apollonian networks under diagonal flips.
+Connected graphs are not grown but filtered from all graphs of their
+order, and kappa-connected graphs from the connected ones; each filter runs
+once per process and its class is cached like every grown class, so a
+later suite over the same class tests no graph again.
 Faces are derived from the graph, not carried beside it: in a maximal
 planar graph of order at least 4 they are the triangles whose removal
 leaves the rest connected.  graph6 is written only to sort the kept
@@ -287,25 +291,37 @@ def _all_graphs(n: int) -> tuple[Graph, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _connected(n: int) -> tuple[Graph, ...]:
+    # The connected graphs of order n, in the order of _all_graphs(n).
+    return tuple(g for g in _all_graphs(n) if is_connected(g))
+
+
 def enumerate_connected(n: int, m: int | None = None) -> Iterator[Graph]:
     """All connected graphs of order n (and size m when given), one
     canonical representative per isomorphism class."""
     _check_range("order", n, 2, CONNECTED_MAX_N)
     if m is not None:
         _check_range("size at order %d" % n, m, 0, n * (n - 1) // 2)
-    for g in _all_graphs(n):
-        if m is not None and g.m != m:
-            continue
-        if is_connected(g):
+    for g in _connected(n):
+        if m is None or g.m == m:
             yield g
+
+
+@lru_cache(maxsize=None)
+def _k_connected(n: int, kappa: int) -> tuple[Graph, ...]:
+    # The kappa-connected graphs of order n, for kappa < n.
+    return tuple(g for g in _connected(n) if is_k_connected(g, kappa))
 
 
 def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
     """Connected graphs of order n with vertex connectivity at least kappa."""
     _check_range("kappa", kappa, 1)
-    for g in enumerate_connected(n):
-        if is_k_connected(g, kappa):
-            yield g
+    _check_range("order", n, 2, CONNECTED_MAX_N)
+    # A kappa-connected graph has more than kappa vertices, so kappa >= n
+    # grows nothing.
+    if kappa < n:
+        yield from _k_connected(n, kappa)
 
 
 def _is_canonical_deletion(

@@ -7,10 +7,12 @@ are read off the masks when asked for, and equality and hashing compare
 the masks.  The masks keep the breadth-first traversals used throughout
 the package cheap at the small orders this library targets.
 
-The module holds the ``Graph`` type; one layered BFS inside a vertex mask
-(``_layers``) for distances, graph powers, layer counts, connectivity, cut
-vertices and k-connectivity; the distance matrix, which keeps each
-source's BFS layer masks and reads distances off them; the degeneracy and
+The module holds the ``Graph`` type; one layered BFS from a single source
+inside a vertex mask (``_layers``) for graph powers, connectivity, cut
+vertices and k-connectivity; one expansion of every vertex's reach
+together, a round per distance (``_expansion``), for the distances of all
+sources; the distance matrix, which keeps each source's BFS layer masks,
+read off that expansion, and reads distances off them; the degeneracy and
 odd-tree predicates; relabeling; and the graph6 and edge-list codecs.
 
 graph6 bit layout, which round-trips bit-exactly here: a record is
@@ -187,12 +189,62 @@ def _layers(bits: tuple[int, ...], src: int, allowed: int) -> list[int]:
     return layers
 
 
+def _expansion(
+    bits: tuple[int, ...], allowed: int, layers: list[list[int]] | None = None
+) -> Iterator[list[int]]:
+    # Every allowed vertex's reach inside the vertex set `allowed`, grown
+    # together a round per distance.  Round d yields reach, where reach[v]
+    # masks the allowed vertices within distance d of v (0 for v outside
+    # allowed): round 1 is read off the masks, and reach_{d+1}[v] is
+    # reach_d[v] OR'd with reach_d[u] over v's allowed neighbours u.  When
+    # layers is given, what v's reach gains in each round after the first is
+    # appended to layers[v], here, where only the grown reaches are visited,
+    # since a reader's pass over every reach per round cost more than one
+    # BFS per source did.  A reach that is all of allowed is done, so its
+    # vertex is skipped and a walk stops there.  The rounds end when every
+    # reach is done or none grows; then, unless the lowest allowed vertex s
+    # reaches all of allowed, raises DisconnectedGraphError((s, the lowest
+    # allowed vertex s does not reach)).  A yielded list is never changed.
+    seen = [allowed & 1 << v for v in range(len(bits))]
+    reach = [b & allowed | own if own else 0 for b, own in zip(bits, seen)]
+    size = allowed.bit_count()
+    while reach != seen:
+        yield reach
+        if reach.count(allowed) == size:
+            return
+        seen = reach
+        reach = seen[:]
+        for v, r in enumerate(seen):
+            if r != allowed and r:
+                b = bits[v] & allowed
+                while b:
+                    low = b & -b
+                    r |= seen[low.bit_length() - 1]
+                    if r == allowed:
+                        break
+                    b ^= low
+                if r != seen[v]:
+                    reach[v] = r
+                    if layers is not None:
+                        layers[v].append(r ^ seen[v])
+    low = allowed & -allowed
+    missing = allowed & ~seen[low.bit_length() - 1]
+    if missing:
+        raise DisconnectedGraphError(
+            (low.bit_length() - 1, (missing & -missing).bit_length() - 1)
+        )
+
+
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; raises DisconnectedGraphError with a witness pair."""
-    full = (1 << g.n) - 1
-    return DistanceMatrix(
-        g.n, tuple(tuple(_layers(g.bits, src, full)) for src in range(g.n))
-    )
+    """The BFS layers of every vertex, from one expansion of all of their
+    reaches: the layer at distance d is what a vertex's reach gains in
+    round d.  Raises DisconnectedGraphError with a witness pair."""
+    # Round 1 gains each vertex's neighbours (K1 has no round), and the
+    # expansion appends the later gains.
+    layers = [[b] if b else [] for b in g.bits]
+    for _ in _expansion(g.bits, (1 << g.n) - 1, layers):
+        pass
+    return DistanceMatrix(g.n, tuple(map(tuple, layers)))
 
 
 def _connected_without(g: Graph, removed: int) -> bool:
@@ -219,16 +271,22 @@ def is_k_connected(g: Graph, k: int) -> bool:
     _check_range("k", k, 1)
     if g.n <= k:
         return False
-    # Every vertex set of size 0..k - 1, smallest first; removing none is
-    # the connectivity test.  The mask loop is written out because a sum()
-    # over the cut is slower.
-    for size in range(k):
-        for cut in itertools.combinations(range(g.n), size):
-            removed = 0
-            for v in cut:
-                removed |= 1 << v
-            if not _connected_without(g, removed):
-                return False
+    # A vertex of degree below k is cut off from the rest, which n > k makes
+    # nonempty, by its neighbourhood: a cutset smaller than k.
+    if any(b.bit_count() < k for b in g.bits):
+        return False
+    # Only the vertex sets of size k - 1 are searched; removing none (k = 1)
+    # is the connectivity test.  A smaller cutset S extends to one of size
+    # k - 1: g - S has n - |S| >= 3 vertices, and S stays a cutset when it
+    # gains a vertex of a component of g - S with two or more vertices, or,
+    # when every component is a single vertex, one of those three or more.
+    # The mask loop is written out because a sum() over the cut is slower.
+    for cut in itertools.combinations(range(g.n), k - 1):
+        removed = 0
+        for v in cut:
+            removed |= 1 << v
+        if not _connected_without(g, removed):
+            return False
     return True
 
 

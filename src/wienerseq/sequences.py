@@ -7,11 +7,14 @@ of the package: a monotone index respects that order, and deleting a
 non-cut vertex v bounds the sequence by the merge of the remaining graph's
 sequence with the distance sequence of v.
 
-A distance sequence is counted from BFS layers, with no matrix, as one
-count per distance: each pair is counted once, from its lower-labelled
-end, as the number of higher-labelled vertices in that end's layer at its
-distance.  Restricting the BFS to the vertex mask ``full & ~(1 << v)``
-counts the pairs of g - v without building g - v; the first BFS of that
+A distance sequence is counted with no matrix, as one count per distance,
+from one expansion of every vertex's reach (the vertices within distance d
+of it), grown together a round per distance: the reach of v in round
+d + 1 is its reach in round d joined with its neighbours' reaches in round
+d.  Round d adds two bits for each pair at distance d, one to the reach of
+each end, so the count at d is half the growth of the reaches' popcount
+sum.  Restricting the expansion to the vertex mask ``full & ~(1 << v)``
+counts the pairs of g - v without building g - v; for a connected g that
 count fails exactly when v is a cut vertex.
 
 Every dominance decision is one count test on two sorted sequences a and
@@ -54,6 +57,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from wienerseq.graphs import (
     DisconnectedGraphError,
     Graph,
+    _expansion,
     _iter_bits,
     _layers,
     distance_matrix,
@@ -206,19 +210,18 @@ def _crossings(
     return less_at, greater_at, have, need
 
 
-def _layer_counts(g: Graph, allowed: int) -> list[int]:
+def _pair_counts(g: Graph, allowed: int) -> list[int]:
     # Entry d - 1 is the number of pairs at distance d in the subgraph of g
-    # induced by the vertex mask `allowed`, for d = 1..n-1.  `rest` holds
-    # the allowed vertices above the source; the last vertex has none, so
-    # its BFS is skipped.
-    counts = [0] * (g.n - 1)
-    rest = allowed
-    while rest & (rest - 1):
-        low = rest & -rest
-        rest ^= low
-        for d, layer in enumerate(_layers(g.bits, low.bit_length() - 1, allowed)):
-            counts[d] += (layer & rest).bit_count()
-    return counts
+    # induced by the vertex mask `allowed`, for d = 1..n-1.  Round d of the
+    # expansion adds to the reach masks two bits for each such pair, one at
+    # each end, so it is half the growth of their popcount sum.
+    counts = []
+    total = allowed.bit_count()
+    for reach in _expansion(g.bits, allowed):
+        grown = sum(map(int.bit_count, reach))
+        counts.append((grown - total) // 2)
+        total = grown
+    return counts + [0] * (g.n - 1 - len(counts))
 
 
 def _sizes(layers: Sequence[int], n: int) -> list[int]:
@@ -237,7 +240,7 @@ def _from_counts(counts: list[int]) -> DistanceSequence:
 
 def distance_sequence(g: Graph) -> DistanceSequence:
     """Distance sequence of a connected graph; length n(n-1)/2."""
-    return _from_counts(_layer_counts(g, (1 << g.n) - 1))
+    return _from_counts(_pair_counts(g, (1 << g.n) - 1))
 
 
 def vertex_distance_sequence(g: Graph, v: int) -> DistanceSequence:
@@ -265,14 +268,14 @@ def deletion_bound_check(g: Graph, v: int) -> DeletionBoundResult:
         raise ValueError("cannot delete the only vertex")
     # v's BFS runs first, so a disconnected g raises with the pair
     # (v, lowest vertex unreached from v).  g is then connected, so the
-    # only BFS that can fail later is g - v's first one, exactly when v is
-    # a cut vertex.
+    # only count that can fail later is g - v's, exactly when v is a cut
+    # vertex.
     vcounts = _vertex_counts(g, v)
     full = (1 << g.n) - 1
-    counts = _layer_counts(g, full)
+    counts = _pair_counts(g, full)
     others = full & ~(1 << v)
     try:
-        rest = _layer_counts(g, others)
+        rest = _pair_counts(g, others)
     except DisconnectedGraphError:
         raise ValueError("vertex %d is a cut vertex" % v) from None
     # Neighbours x and y of v are within 2 in g - v when they are adjacent

@@ -40,6 +40,7 @@ from wienerseq import (
     path,
     relabel,
     star,
+    verify_connectivity,
     write_graph6,
 )
 from wienerseq import enumeration
@@ -188,10 +189,10 @@ def test_enumeration_is_deterministic_and_sorted(spec):
 
 
 def _fresh_cache(monkeypatch, *names):
-    # Each named growth function gets an empty cache for this test alone.
-    # The growth recurses through the module global, so every level is grown
-    # and counted, and the shared cache, whose levels later tests read, comes
-    # back after the test.
+    # Each named class builder gets an empty cache for this test alone.  A
+    # growth recurses, and a filter reads its parent class, through the
+    # module global, so every level is built and counted, and the shared
+    # cache, whose levels later tests read, comes back after the test.
     for name in names:
         grow = getattr(enumeration, name).__wrapped__
         monkeypatch.setattr(enumeration, name, lru_cache(maxsize=None)(grow))
@@ -674,13 +675,65 @@ def test_enumeration_ceilings():
             list(enumerate_maximal_k_degenerate(n, k))
 
 
+CLASS_CACHES = ("_all_graphs", "_connected", "_k_connected")
+
+
+def _grown_nothing():
+    return all(
+        getattr(enumeration, name).cache_info().currsize == 0 for name in CLASS_CACHES
+    )
+
+
 def test_k_connected_rejects_kappa_before_generating(monkeypatch):
     # A kappa below 1 raises before _all_graphs builds a single level, so
     # rejecting it costs nothing at any order.
-    _fresh_cache(monkeypatch, "_all_graphs")
+    _fresh_cache(monkeypatch, *CLASS_CACHES)
     with pytest.raises(ValueError, match=r"^kappa must be in 1\.\., got 0$"):
         next(enumerate_k_connected(8, 0))
-    assert enumeration._all_graphs.cache_info().currsize == 0
+    assert _grown_nothing()
+
+
+@pytest.mark.parametrize("n,kappa", [(2, 2), (7, 7), (7, 9), (8, 8)])
+def test_k_connected_yields_nothing_at_kappa_of_the_order_or_more(
+    monkeypatch, n, kappa
+):
+    # A kappa-connected graph has more than kappa vertices, so kappa >= n
+    # yields nothing without growing a class, and no cache gets the key.
+    _fresh_cache(monkeypatch, *CLASS_CACHES)
+    assert list(enumerate_k_connected(n, kappa)) == []
+    assert _grown_nothing()
+    # The order is still checked.
+    with pytest.raises(ValueError, match=r"^order must be in 2\.\.8, got 9$"):
+        next(enumerate_k_connected(9, 9))
+
+
+def test_a_warm_second_suite_filters_no_graph(monkeypatch):
+    # The connected classes are cached like the grown ones, so the first
+    # verify_connectivity(6, 2) tests each of the 156 graphs of order 6 for
+    # connectivity and each of the 112 connected ones for 2-connectivity,
+    # and a second run tests none.
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(enumeration, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    _fresh_cache(monkeypatch, "_connected", "_k_connected")
+    for name in ("is_connected", "is_k_connected"):
+        monkeypatch.setattr(enumeration, name, counting(name))
+    first = verify_connectivity(6, 2)
+    assert calls == {"is_connected": 156, "is_k_connected": 112}
+    calls.clear()
+    second = verify_connectivity(6, 2)
+    assert calls == {}
+    text = first.to_json(include_meta=False)
+    assert second.to_json(include_meta=False) == text
+    assert verify_connectivity(6, 2, jobs=2).to_json(include_meta=False) == text
 
 
 # (class, arguments after the order, lowest order, highest order, step

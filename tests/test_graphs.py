@@ -315,6 +315,38 @@ def test_k_connected_is_false_on_disconnected_graphs(g):
         assert not is_k_connected(g, k) or connected
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_k_connected_at_the_order(n):
+    # K_n is (n - 1)-connected and no graph of order n is n-connected.  K_n
+    # minus an edge has two vertices of degree n - 2: it is (n - 2)-connected
+    # (for n > 2) and not (n - 1)-connected.
+    kn = complete(n)
+    assert is_k_connected(kn, n - 1) and not is_k_connected(kn, n)
+    less = Graph(n, [e for e in kn.edges if e != (0, 1)])
+    assert not is_k_connected(less, n - 1)
+    assert n == 2 or is_k_connected(less, n - 2)
+
+
+def test_k_connected_searches_only_the_cuts_of_size_k_minus_1(monkeypatch):
+    # P_10^3 is a 3-tree, so 3-connected: it is searched once without each
+    # pair of vertices, 45 times, not also once whole and once without each
+    # vertex (56).  A vertex of degree below k answers with no search.
+    calls = []
+    real = graphs._connected_without
+
+    def counting(g, removed):
+        calls.append(removed)
+        return real(g, removed)
+
+    monkeypatch.setattr(graphs, "_connected_without", counting)
+    assert is_k_connected(path_power(10, 3), 3)
+    assert len(calls) == 45
+    calls.clear()
+    assert not is_k_connected(path(5), 2)
+    assert not is_k_connected(path_power(10, 3), 4)
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "g,k,expected",
     [

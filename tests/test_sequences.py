@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, merge, to_nx
+from conftest import arbitrary_graphs, connected_graphs, merge, to_nx
 from wienerseq import (
     DisconnectedGraphError,
     DistanceSequence,
@@ -285,6 +285,55 @@ def test_deletion_bounds_match_networkx(g):
         assert res.equality == (whole == bound)
         assert res.predicted_equality == predicted
         assert list(vertex_distance_sequence(g, v)) == from_v
+
+
+@st.composite
+def graphs_with_masks(draw):
+    # A graph of order 1..10, connected or not, and a nonempty vertex mask,
+    # often all of its vertices.
+    g = draw(st.one_of(arbitrary_graphs(max_n=10), connected_graphs(max_n=10)))
+    full = (1 << g.n) - 1
+    return g, draw(st.one_of(st.just(full), st.integers(1, full)))
+
+
+def _by_source(g, allowed):
+    # The pair counts per distance inside allowed, one BFS per source: each
+    # pair from its lower end, as the vertices above that end in its layer.
+    # The lowest source's BFS runs first, so it names the missing pair.
+    counts = [0] * (g.n - 1)
+    for src in range(g.n):
+        if allowed >> src & 1:
+            above = allowed >> src + 1 << src + 1
+            for d, layer in enumerate(sequences._layers(g.bits, src, allowed)):
+                counts[d] += (layer & above).bit_count()
+    return counts
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DisconnectedGraphError as exc:
+        return "disconnected", exc.pair, str(exc)
+
+
+@given(graphs_with_masks())
+@example((Graph(1), 1))
+@example((path(2), 3))
+@example((path(2), 2))
+@example((Graph(2), 3))
+@settings(deadline=None)
+def test_expansion_matches_one_bfs_per_source(case):
+    # The expansion of every reach together against one BFS per source: the
+    # pair counts, the distance matrix's layers, and the pair a disconnected
+    # vertex set raises with.
+    g, allowed = case
+    assert _outcome(sequences._pair_counts, g, allowed) == _outcome(
+        _by_source, g, allowed
+    )
+    full = (1 << g.n) - 1
+    assert _outcome(lambda: distance_matrix(g).layers) == _outcome(
+        lambda: tuple(tuple(sequences._layers(g.bits, s, full)) for s in range(g.n))
+    )
 
 
 def test_deletion_bounds_match_the_slow_check_on_every_graph_to_order_7():
