@@ -12,8 +12,11 @@ identical for any number of jobs.
 The comparison with the extremal sequence and the exact index battery
 depend only on the pair (sequence, extremal sequence), and many members of
 a class share that pair.  Each shard therefore judges each distinct pair
-once, keeps the judgement for the rest of the shard, and stamps each
-member's own graph6 record into copies of its violations.
+once and keeps the judgement for the rest of the shard.  A shard checks
+``Graph``s: it writes a member's graph6 record only when the member has a
+violation, stamped into copies of them, or is an equality witness.  Records
+cross a process boundary only as the payload of a pool worker, which
+decodes them; a run with one busy shard decodes nothing.
 
 A dominance pass paired with an index inequality failure cannot happen
 mathematically, so it is reported as kind "internal_inconsistency" and
@@ -201,24 +204,24 @@ def _judge(
 
 
 def _check_extremal(
-    g: Graph, record: str, bound: tuple, judged: dict
+    g: Graph, bound: tuple, judged: dict
 ) -> tuple[list[dict], bool]:
     """Violations of g against the extremal graph family(*args), where
     bound is (family, *args), and whether their distance sequences are
     equal.  judged maps each (sequence, extremal) pair met so far to its
-    judgement, so each pair is judged once."""
+    judgement, so each pair is judged once; the caller must not mutate the
+    violations it shares."""
     key = (distance_sequence(g), _extremal(*bound))
     if key not in judged:
         judged[key] = _judge(*key)
-    violations, is_equal = judged[key]
-    return [dict(v, graph6=record) for v in violations], is_equal
+    return judged[key]
 
 
-def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
+def _check_k_degenerate(g: Graph, params: dict) -> list[dict]:
     n, k = params["n"], params["k"]
     violations: list[dict] = []
     if n >= k + 1 and not is_k_connected(g, k):
-        violations.append(_violation(record, "k_connectivity", lhs=k))
+        violations.append(_violation(None, "k_connectivity", lhs=k))
     v = next(
         (v for v in range(n) if g.degree(v) == k and not is_cut_vertex(g, v)),
         None,
@@ -226,9 +229,7 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
     if v is not None:
         res = deletion_bound_check(g, v)
         if not res.holds:
-            violations.append(
-                _violation(record, "deletion_bound", coordinate=v)
-            )
+            violations.append(_violation(None, "deletion_bound", coordinate=v))
         # v has degree k, so k < n
         vseq = vertex_distance_sequence(g, v)
         end = end_vertex_sequence_path_power(n, k)
@@ -236,26 +237,22 @@ def _check_k_degenerate(g: Graph, record: str, params: dict) -> list[dict]:
         if not vrel.dominated:
             coord = vrel.greater_at
             violations.append(
-                _violation(
-                    record, "end_vertex_bound", coord, vseq[coord], end[coord]
-                )
+                _violation(None, "end_vertex_bound", coord, vseq[coord], end[coord])
             )
     elif n >= k + 1:
-        violations.append(_violation(record, "degree_k_vertex", lhs=k))
+        violations.append(_violation(None, "degree_k_vertex", lhs=k))
     return violations
 
 
-def _check_deletion(g: Graph, record: str, params: dict) -> list[dict]:
+def _check_deletion(g: Graph, params: dict) -> list[dict]:
     violations: list[dict] = []
     for v, res in deletion_bounds(g).items():
         if not res.holds:
-            violations.append(
-                _violation(record, "deletion_bound", coordinate=v)
-            )
+            violations.append(_violation(None, "deletion_bound", coordinate=v))
         if res.equality != res.predicted_equality:
             violations.append(
                 _violation(
-                    record,
+                    None,
                     "equality_predicate",
                     coordinate=v,
                     lhs=res.equality,
@@ -265,23 +262,30 @@ def _check_deletion(g: Graph, record: str, params: dict) -> list[dict]:
     return violations
 
 
-def _check_shard(payload: tuple[str, dict, list[str]]) -> VerificationReport:
-    suite, params, records = payload
+def _check(suite: str, params: dict, graphs: list[Graph]) -> VerificationReport:
+    """The report of one shard of the suite over the given graphs."""
     entry = SUITES[suite]
-    report = VerificationReport(suite, params, len(records))
+    report = VerificationReport(suite, params, len(graphs))
     judged: dict = {}
-    for record in records:
-        g = parse_graph6(record)
+    for g in graphs:
+        vs: list[dict] = []
+        is_equal = False
         if entry.extremal is not None:
-            vs, is_equal = _check_extremal(
-                g, record, entry.extremal(g, params), judged
-            )
-            report.violations.extend(vs)
+            vs, is_equal = _check_extremal(g, entry.extremal(g, params), judged)
+        if entry.check is not None:
+            vs = vs + entry.check(g, params)
+        if vs or is_equal:
+            record = write_graph6(g)
+            report.violations.extend(dict(v, graph6=record) for v in vs)
             if is_equal:
                 report.equality_witnesses.append(record)
-        if entry.check is not None:
-            report.violations.extend(entry.check(g, record, params))
     return report
+
+
+def _check_shard(payload: tuple[str, dict, list[str]]) -> VerificationReport:
+    """A pool worker's shard: graph6 records are its wire format."""
+    suite, params, records = payload
+    return _check(suite, params, [parse_graph6(r) for r in records])
 
 
 def _violation_sort_key(v: dict) -> str:
@@ -293,17 +297,21 @@ def _run(
 ) -> VerificationReport:
     _check_range("jobs", jobs, 1)
     # elapsed_s times the check phase only, not enumeration or encoding
-    records = [write_graph6(g) for g in graphs]
-    start = time.monotonic()
-    # Shard i holds records i, i + jobs, ...; only shards that hold a record
+    graphs = list(graphs)
+    # Shard i holds graphs i, i + jobs, ...; only shards that hold a graph
     # are checked, in at most one worker per CPU.
-    busy = min(jobs, len(records))
-    payloads = [(suite, params, records[i::jobs]) for i in range(busy)]
+    busy = min(jobs, len(graphs))
     if busy > 1:
+        payloads = [
+            (suite, params, [write_graph6(g) for g in graphs[i::jobs]])
+            for i in range(busy)
+        ]
+        start = time.monotonic()
         with ProcessPoolExecutor(max_workers=min(busy, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_check_shard, payloads))
     else:
-        parts = [_check_shard(p) for p in payloads]
+        start = time.monotonic()
+        parts = [_check(suite, params, graphs)]
     return VerificationReport(
         suite=suite,
         params=params,
@@ -405,7 +413,7 @@ class Suite(NamedTuple):
     verify: Callable[..., VerificationReport]
     args: dict[str, type]
     extremal: Callable[[Graph, dict], tuple] | None = None
-    check: Callable[[Graph, str, dict], list[dict]] | None = None
+    check: Callable[[Graph, dict], list[dict]] | None = None
     required: int | None = None
 
 

@@ -474,7 +474,7 @@ def test_deletion_bound_check_builds_one_matrix_per_graph(monkeypatch):
     # the deletion suite checks all six vertices from that one matrix of g
     orders.clear()
     g = canonical_graph(cycle(6))
-    verifier._check_deletion(g, write_graph6(g), {"n": 6})
+    assert verifier._check_deletion(g, {"n": 6}) == []
     assert orders == [6]
     # and so builds one matrix per graph it checks
     orders.clear()

@@ -22,6 +22,7 @@ from wienerseq import (
     cycle_power,
     distance_sequence,
     enumerate_connected,
+    enumerate_maximal_k_degenerate,
     evaluate_exact,
     is_cut_vertex,
     monotone_consistency,
@@ -103,7 +104,7 @@ def test_k_degenerate_check_reuses_the_deletion_matrix(monkeypatch):
     monkeypatch.setattr(sequences, "distance_matrix", counting)
     g = canonical_graph(path_power(7, 2))
     params = {"n": 7, "k": 2, "class": "maximal_k_degenerate"}
-    assert _check_k_degenerate(g, write_graph6(g), params) == []
+    assert _check_k_degenerate(g, params) == []
     assert orders == []
 
 
@@ -119,23 +120,22 @@ def _violation(record, kind, coordinate=None, lhs=None, rhs=None, **index):
 
 
 def test_k_degenerate_check_reports_non_members():
-    # C_5 is not 3-connected and has no vertex of degree 3.
+    # C_5 is not 3-connected and has no vertex of degree 3.  The check
+    # leaves graph6 unset; the suite stamps the member's record in.
     g = cycle(5)
-    record = write_graph6(g)
     params = {"n": 5, "k": 3, "class": "maximal_k_degenerate"}
-    assert _check_k_degenerate(g, record, params) == [
-        _violation(record, "k_connectivity", lhs="3"),
-        _violation(record, "degree_k_vertex", lhs="3"),
+    assert _check_k_degenerate(g, params) == [
+        _violation(None, "k_connectivity", lhs="3"),
+        _violation(None, "degree_k_vertex", lhs="3"),
     ]
     # A triangle 0 1 2 with the tail 2 3 4 5 has cut vertices, and its
     # degree-2 non-cut vertex 0 has distances 1 1 2 3 4, past the 1 1 2 2 3
     # of an end vertex of P_6^2 first at coordinate 3.
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
-    record = write_graph6(g)
     params = {"n": 6, "k": 2, "class": "maximal_k_degenerate"}
-    assert _check_k_degenerate(g, record, params) == [
-        _violation(record, "k_connectivity", lhs="2"),
-        _violation(record, "end_vertex_bound", 3, lhs="3", rhs="2"),
+    assert _check_k_degenerate(g, params) == [
+        _violation(None, "k_connectivity", lhs="2"),
+        _violation(None, "end_vertex_bound", 3, lhs="3", rhs="2"),
     ]
 
 
@@ -150,13 +150,64 @@ def test_k_degenerate_check_reports_a_failed_deletion_bound(monkeypatch):
 
     monkeypatch.setattr(verifier, "deletion_bound_check", failing)
     g = canonical_graph(path_power(7, 2))
-    record = write_graph6(g)
     v = min(v for v in range(7) if g.degree(v) == 2 and not is_cut_vertex(g, v))
     params = {"n": 7, "k": 2, "class": "maximal_k_degenerate"}
-    assert _check_k_degenerate(g, record, params) == [
-        _violation(record, "deletion_bound", v)
-    ]
+    assert _check_k_degenerate(g, params) == [_violation(None, "deletion_bound", v)]
     assert seen == [v]
+
+
+def test_k_degenerate_suite_stamps_each_members_record(monkeypatch):
+    # With the bound failing everywhere, every member of the class reports
+    # one deletion_bound violation at its degree-2 non-cut vertex, under
+    # its own record, whether the check runs in this process (jobs=1) or
+    # in pool workers (jobs=3), which are forked and inherit the patch.
+    monkeypatch.setattr(
+        verifier,
+        "deletion_bound_check",
+        lambda g, v: DeletionBoundResult(False, False, False),
+    )
+    reports = [verify_k_degenerate(6, 2, jobs=j) for j in (1, 3)]
+    assert reports[0].to_json(include_meta=False) == reports[1].to_json(
+        include_meta=False
+    )
+    members = {write_graph6(g) for g in enumerate_maximal_k_degenerate(6, 2)}
+    violations = reports[0].violations
+    assert {v["kind"] for v in violations} == {"deletion_bound"}
+    assert sorted(v["graph6"] for v in violations) == sorted(members)
+    for v in violations:
+        g = parse_graph6(v["graph6"])
+        assert write_graph6(canonical_graph(g)) in members
+        assert g.degree(v["coordinate"]) == 2
+        assert not is_cut_vertex(g, v["coordinate"])
+
+
+def test_an_in_process_suite_decodes_nothing(monkeypatch):
+    # jobs=1 checks the enumerated graphs themselves: it parses no record
+    # and writes one only for each equality witness and each graph with a
+    # violation.  Pool workers decode their shards' records and agree.
+    calls = {"parse": 0, "write": 0}
+    real_parse, real_write = verifier.parse_graph6, verifier.write_graph6
+
+    def parsing(record):
+        calls["parse"] += 1
+        return real_parse(record)
+
+    def writing(g):
+        calls["write"] += 1
+        return real_write(g)
+
+    monkeypatch.setattr(verifier, "parse_graph6", parsing)
+    monkeypatch.setattr(verifier, "write_graph6", writing)
+    rep = verify_order_size(6)
+    assert rep.graphs_checked == 112
+    flagged = {v["graph6"] for v in rep.violations}
+    assert calls == {
+        "parse": 0,
+        "write": len(set(rep.equality_witnesses) | flagged),
+    }
+    assert 0 < calls["write"] < 112
+    pooled = verify_order_size(6, jobs=3)
+    assert pooled.to_json(include_meta=False) == rep.to_json(include_meta=False)
 
 
 def test_index_failures_are_reported_by_dominance(monkeypatch):
