@@ -263,13 +263,17 @@ def _grow(
 ) -> tuple[Graph, ...]:
     # One canonical representative per isomorphism class among the children
     # of all parents.  Classes are compared as Graphs; graph6 only sorts the
-    # kept ones, by (size, record).  A key that is a complete isomorphism
+    # kept ones, in _in_class_order.  A key that is a complete isomorphism
     # invariant of the children lets one child per key value be labeled.
     kids: Iterable[Graph] = (h for g in parents for h in children(g))
     if key is not None:
         kids = {key(h): h for h in kids}.values()
-    kept = {canonical_graph(h) for h in kids}
-    return tuple(sorted(kept, key=lambda g: (g.m, write_graph6(g))))
+    return _in_class_order({canonical_graph(h) for h in kids})
+
+
+def _in_class_order(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
+    # The order every generated class is kept in: by size, then graph6 record.
+    return tuple(sorted(graphs, key=lambda g: (g.m, write_graph6(g))))
 
 
 def _attach(g: Graph, mask: int) -> Graph:
@@ -516,7 +520,7 @@ def _triangulations(n: int) -> tuple[Graph, ...]:
     while frontier:
         frontier = {canonical_graph(h) for g in frontier for h in _flips(g)} - found
         found |= frontier
-    return tuple(sorted(found, key=lambda g: (g.m, write_graph6(g))))
+    return _in_class_order(found)
 
 
 def enumerate_maximal_planar(n: int) -> Iterator[Graph]:

@@ -8,12 +8,11 @@ the masks.  The masks keep the breadth-first traversals used throughout
 the package cheap at the small orders this library targets.
 
 The module holds the ``Graph`` type; one layered BFS from a single source
-inside a vertex mask (``_layers``) for graph powers, connectivity, cut
-vertices and k-connectivity; one expansion of every vertex's reach
-together, a round per distance (``_expansion``), for the distances of all
-sources; the distance matrix, which keeps each source's BFS layer masks,
-read off that expansion, and reads distances off them; the degeneracy and
-odd-tree predicates; relabeling; and the graph6 and edge-list codecs.
+inside a vertex mask (``_layers``) for distance matrices, graph powers,
+connectivity, cut vertices and k-connectivity; the distance matrix, which
+keeps each source's BFS layer masks and reads distances off them; the
+degeneracy and odd-tree predicates; relabeling; and the graph6 and
+edge-list codecs.
 
 graph6 bit layout, which round-trips bit-exactly here: a record is
 ``<header><payload>``.  The header is one row of ``_G6_HEADERS``, the
@@ -189,62 +188,12 @@ def _layers(bits: tuple[int, ...], src: int, allowed: int) -> list[int]:
     return layers
 
 
-def _expansion(
-    bits: tuple[int, ...], allowed: int, layers: list[list[int]] | None = None
-) -> Iterator[list[int]]:
-    # Every allowed vertex's reach inside the vertex set `allowed`, grown
-    # together a round per distance.  Round d yields reach, where reach[v]
-    # masks the allowed vertices within distance d of v (0 for v outside
-    # allowed): round 1 is read off the masks, and reach_{d+1}[v] is
-    # reach_d[v] OR'd with reach_d[u] over v's allowed neighbours u.  When
-    # layers is given, what v's reach gains in each round after the first is
-    # appended to layers[v], here, where only the grown reaches are visited,
-    # since a reader's pass over every reach per round cost more than one
-    # BFS per source did.  A reach that is all of allowed is done, so its
-    # vertex is skipped and a walk stops there.  The rounds end when every
-    # reach is done or none grows; then, unless the lowest allowed vertex s
-    # reaches all of allowed, raises DisconnectedGraphError((s, the lowest
-    # allowed vertex s does not reach)).  A yielded list is never changed.
-    seen = [allowed & 1 << v for v in range(len(bits))]
-    reach = [b & allowed | own if own else 0 for b, own in zip(bits, seen)]
-    size = allowed.bit_count()
-    while reach != seen:
-        yield reach
-        if reach.count(allowed) == size:
-            return
-        seen = reach
-        reach = seen[:]
-        for v, r in enumerate(seen):
-            if r != allowed and r:
-                b = bits[v] & allowed
-                while b:
-                    low = b & -b
-                    r |= seen[low.bit_length() - 1]
-                    if r == allowed:
-                        break
-                    b ^= low
-                if r != seen[v]:
-                    reach[v] = r
-                    if layers is not None:
-                        layers[v].append(r ^ seen[v])
-    low = allowed & -allowed
-    missing = allowed & ~seen[low.bit_length() - 1]
-    if missing:
-        raise DisconnectedGraphError(
-            (low.bit_length() - 1, (missing & -missing).bit_length() - 1)
-        )
-
-
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """The BFS layers of every vertex, from one expansion of all of their
-    reaches: the layer at distance d is what a vertex's reach gains in
-    round d.  Raises DisconnectedGraphError with a witness pair."""
-    # Round 1 gains each vertex's neighbours (K1 has no round), and the
-    # expansion appends the later gains.
-    layers = [[b] if b else [] for b in g.bits]
-    for _ in _expansion(g.bits, (1 << g.n) - 1, layers):
-        pass
-    return DistanceMatrix(g.n, tuple(map(tuple, layers)))
+    """The BFS layers of every vertex, one search per source.  Raises
+    DisconnectedGraphError((0, the lowest vertex 0 does not reach))."""
+    full = (1 << g.n) - 1
+    layers = tuple(tuple(_layers(g.bits, s, full)) for s in range(g.n))
+    return DistanceMatrix(g.n, layers)
 
 
 def _connected_without(g: Graph, removed: int) -> bool:

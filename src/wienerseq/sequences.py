@@ -57,7 +57,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from wienerseq.graphs import (
     DisconnectedGraphError,
     Graph,
-    _expansion,
     _iter_bits,
     _layers,
     distance_matrix,
@@ -212,15 +211,44 @@ def _crossings(
 
 def _pair_counts(g: Graph, allowed: int) -> list[int]:
     # Entry d - 1 is the number of pairs at distance d in the subgraph of g
-    # induced by the vertex mask `allowed`, for d = 1..n-1.  Round d of the
-    # expansion adds to the reach masks two bits for each such pair, one at
-    # each end, so it is half the growth of their popcount sum.
+    # induced by the vertex mask `allowed`, for d = 1..n-1, by the reach
+    # expansion of the module docstring: reach[v] masks the allowed vertices
+    # within distance d of v after round d (0 for v outside allowed), and
+    # the round's count is half the growth of the reaches' popcount sum.  A
+    # reach that is all of allowed is done, so its vertex is skipped and a
+    # walk stops there.  The rounds end when every reach is done (the sum is
+    # |allowed|^2) or none grows; then, unless the lowest allowed vertex s
+    # reaches all of allowed, raises DisconnectedGraphError((s, the lowest
+    # allowed vertex s does not reach)).
+    bits = g.bits
+    seen = [allowed & 1 << v for v in range(g.n)]
+    reach = [b & allowed | own if own else 0 for b, own in zip(bits, seen)]
     counts = []
-    total = allowed.bit_count()
-    for reach in _expansion(g.bits, allowed):
+    total = size = allowed.bit_count()
+    while reach != seen:
         grown = sum(map(int.bit_count, reach))
         counts.append((grown - total) // 2)
         total = grown
+        if total == size * size:
+            break
+        seen = reach
+        reach = seen[:]
+        for v, r in enumerate(seen):
+            if r != allowed and r:
+                b = bits[v] & allowed
+                while b:
+                    low = b & -b
+                    r |= seen[low.bit_length() - 1]
+                    if r == allowed:
+                        break
+                    b ^= low
+                reach[v] = r
+    low = allowed & -allowed
+    missing = allowed & ~reach[low.bit_length() - 1]
+    if missing:
+        raise DisconnectedGraphError(
+            (low.bit_length() - 1, (missing & -missing).bit_length() - 1)
+        )
     return counts + [0] * (g.n - 1 - len(counts))
 
 

@@ -1,5 +1,6 @@
 """Verification suites: exhaustive dominance checks with sharded execution."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -453,6 +454,40 @@ def test_report_json_round_trip(rep):
         v["graph6"] = "added"
     out["equality_witnesses"].append("added")
     assert rep.to_json() == before
+
+
+# sha256 of to_json(include_meta=False) for each suite run, named as
+# "suite:args" with the runner's positional arguments.  A labeling change
+# that rewrites the records in these reports must re-pin them and say so,
+# with the unchanged class sets of test_canonical.OLD_RECORDS beside them.
+REPORT_DIGESTS = {
+    "order_size:6": "883b8382e9f0cb44351967dc95da56867f879e5d6868dbc200b94fdf8afe7fef",
+    "order_size:7": "d883347528c41c2e982ba45c3a71c6f13f9b903e327462e96577c839ea4f1c19",
+    "deletion:6": "b026232bb54e6314dfddb5ad8e3092bb413c89e91c91e377c4f28f31df579ce7",
+    "deletion:7": "0a45574bc7e328a5cb3ce269cb2322dfcbb29d0adb52083ef1b68a1b707a0cad",
+    "connectivity:7,2": "2e582baadcf9762fcbdd98b89573f0b297d985a3ef4f64fa7ab935e4d8c14445",
+    "connectivity:8,4": "3d01bed0ee146a055660b344eec38d8830c53c64bd636e3f14ab9b18dd07bfee",
+    "connectivity:6,4": "e52efc2f1d6d2b460a1b3a3e441789f42954fff201414686ef1cecf325448ef8",
+    "k_degenerate:7,2": "97b7916d2e0e0dfdfd4c67e9d77f207adc3c43e9b1953ffbc1b9cebbb720f457",
+    "k_degenerate:7,1": "0f07d94f46a9f19144dd812f390f7da443c7ee4a3e9e4b7f5659fad96d262c0a",
+    "k_degenerate:9,3,k_tree":
+        "74f6c961b77858cbde24fcda90da48605bcacbe69d7da6d9dcf7e54f35090b13",
+    "k_degenerate:10,2,k_tree":
+        "574905e6eb54824a977b56d16676ff8786597edb480eec739e65bd0cc44ed8aa",
+    "k_degenerate:4,5": "d47caf3919ebac81bf9a8225b4f97f2c6b09a76542acfa4e6e84ee83aa2ec5fd",
+    "odd_trees:12": "026cc949264a2efbcf4d38060d6a1dd4635ab03fb8ee4959a93fdc12af0850f2",
+    "maximal_planar:8": "2fcd9db34d80286b28f7771254d2c485f2ed922cad0c85763710d528172255ea",
+    "maximal_planar:9,apollonian":
+        "bc35eb5f313e780a6bae4b6959f04748391317d34e8797c1b7dea05e9a799b03",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(REPORT_DIGESTS))
+def test_report_output_is_pinned(spec):
+    name, _, text = spec.partition(":")
+    args = [int(a) if a.isdigit() else a for a in text.split(",")]
+    report = SUITES[name].verify(*args).to_json(include_meta=False)
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_DIGESTS[spec]
 
 
 def test_reports_identical_across_sharding():
