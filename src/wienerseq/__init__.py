@@ -7,163 +7,20 @@ sequence within several graph classes, and verifies those maximality
 statements exhaustively at small orders.
 """
 
-from wienerseq.enumeration import (
-    canonical_form,
-    canonical_graph,
-    canonical_order,
-    enumerate_apollonian,
-    enumerate_class,
-    enumerate_connected,
-    enumerate_k_connected,
-    enumerate_k_trees,
-    enumerate_maximal_k_degenerate,
-    enumerate_maximal_planar,
-    enumerate_odd_trees,
-    parse_class_spec,
-)
-from wienerseq.families import (
-    complete,
-    cycle,
-    cycle_power,
-    end_vertex_sequence_path_power,
-    odd_caterpillar,
-    parse_family_spec,
-    path,
-    path_complete,
-    path_power,
-    star,
-)
-from wienerseq.graphs import (
-    DisconnectedGraphError,
-    DistanceMatrix,
-    Graph,
-    GraphFormatError,
-    degeneracy_check,
-    distance_matrix,
-    graph_power,
-    is_connected,
-    is_cut_vertex,
-    is_k_connected,
-    is_odd_tree,
-    parse_edge_list,
-    parse_graph6,
-    relabel,
-    write_graph6,
-)
-from wienerseq.indices import (
-    IndexDefinition,
-    diameter_index,
-    evaluate,
-    evaluate_exact,
-    gen_hyper_wiener,
-    harary,
-    hyper_wiener,
-    log_mult_wiener,
-    monotone_consistency,
-    mult_wiener,
-    order_size_lower_bound,
-    order_size_lower_bound_exact,
-    parse_index_spec,
-    tsz,
-    variable_wiener,
-    wiener,
-)
-from wienerseq.sequences import (
-    DeletionBoundResult,
-    DistanceSequence,
-    Dominance,
-    DominanceRelation,
-    compare,
-    deletion_bound_check,
-    deletion_bounds,
-    distance_sequence,
-    vertex_distance_sequence,
-)
-from wienerseq.verifier import (
-    SUITES,
-    VerificationReport,
-    csv_summary,
-    search_maximal_planar,
-    verify_connectivity,
-    verify_deletion_bound,
-    verify_k_degenerate,
-    verify_odd_trees,
-    verify_order_size,
-)
+from wienerseq.enumeration import *
+from wienerseq.families import *
+from wienerseq.graphs import *
+from wienerseq.indices import *
+from wienerseq.sequences import *
+from wienerseq.verifier import *
+from wienerseq import enumeration, families, graphs, indices, sequences, verifier
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DeletionBoundResult",
-    "DisconnectedGraphError",
-    "DistanceMatrix",
-    "DistanceSequence",
-    "Dominance",
-    "DominanceRelation",
-    "Graph",
-    "GraphFormatError",
-    "IndexDefinition",
-    "SUITES",
-    "VerificationReport",
-    "__version__",
-    "canonical_form",
-    "canonical_graph",
-    "canonical_order",
-    "compare",
-    "complete",
-    "csv_summary",
-    "cycle",
-    "cycle_power",
-    "degeneracy_check",
-    "deletion_bound_check",
-    "deletion_bounds",
-    "diameter_index",
-    "distance_matrix",
-    "distance_sequence",
-    "end_vertex_sequence_path_power",
-    "enumerate_apollonian",
-    "enumerate_class",
-    "enumerate_connected",
-    "enumerate_k_connected",
-    "enumerate_k_trees",
-    "enumerate_maximal_k_degenerate",
-    "enumerate_maximal_planar",
-    "enumerate_odd_trees",
-    "evaluate",
-    "evaluate_exact",
-    "gen_hyper_wiener",
-    "graph_power",
-    "harary",
-    "hyper_wiener",
-    "is_connected",
-    "is_cut_vertex",
-    "is_k_connected",
-    "is_odd_tree",
-    "log_mult_wiener",
-    "monotone_consistency",
-    "mult_wiener",
-    "odd_caterpillar",
-    "order_size_lower_bound",
-    "order_size_lower_bound_exact",
-    "parse_class_spec",
-    "parse_edge_list",
-    "parse_family_spec",
-    "parse_graph6",
-    "parse_index_spec",
-    "path",
-    "path_complete",
-    "path_power",
-    "relabel",
-    "search_maximal_planar",
-    "star",
-    "tsz",
-    "variable_wiener",
-    "verify_connectivity",
-    "verify_deletion_bound",
-    "verify_k_degenerate",
-    "verify_odd_trees",
-    "verify_order_size",
-    "vertex_distance_sequence",
-    "wiener",
-    "write_graph6",
-]
+__all__ = ["__version__"]
+__all__ += enumeration.__all__
+__all__ += families.__all__
+__all__ += graphs.__all__
+__all__ += indices.__all__
+__all__ += sequences.__all__
+__all__ += verifier.__all__

@@ -84,13 +84,30 @@ of v's neighbourhood (a k-set, a k-clique or a face) gives a kept child
 isomorphic to h.  Ties keep several children of one class, which meet in
 the set.  The rule is decided from the parent's masks and the new
 neighbourhood, so a rejected child costs no Graph and no labeling.  Not
-filtered: all graphs, whose deletable vertices (non-cut vertices of
-connected graphs) wait on a growth from connected parents; odd trees,
+filtered: all graphs, where every vertex is deletable and the rule
+would keep the same classes, but would label fewer children than the 218
+labelings of verify_order_size(5) that the benchmark's self-test
+perfbench/test_bench.py::test_counts_of_a_small_suite pins; odd trees,
 which label one child per class by their tree code; and the flips of the
 triangulation closure, which add no vertex.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "canonical_form",
+    "canonical_graph",
+    "canonical_order",
+    "enumerate_apollonian",
+    "enumerate_class",
+    "enumerate_connected",
+    "enumerate_k_connected",
+    "enumerate_k_trees",
+    "enumerate_maximal_k_degenerate",
+    "enumerate_maximal_planar",
+    "enumerate_odd_trees",
+    "parse_class_spec",
+]
 
 import itertools
 from functools import lru_cache
@@ -305,11 +322,10 @@ def enumerate_connected(n: int, m: int | None = None) -> Iterator[Graph]:
     """All connected graphs of order n (and size m when given), one
     canonical representative per isomorphism class."""
     _check_range("order", n, 2, CONNECTED_MAX_N)
-    if m is not None:
-        _check_range("size at order %d" % n, m, 0, n * (n - 1) // 2)
-    for g in _connected(n):
-        if m is None or g.m == m:
-            yield g
+    if m is None:
+        return iter(_connected(n))
+    _check_range("size at order %d" % n, m, 0, n * (n - 1) // 2)
+    return (g for g in _connected(n) if g.m == m)
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +340,7 @@ def enumerate_k_connected(n: int, kappa: int) -> Iterator[Graph]:
     _check_range("order", n, 2, CONNECTED_MAX_N)
     # A kappa-connected graph has more than kappa vertices, so kappa >= n
     # grows nothing.
-    if kappa < n:
-        yield from _k_connected(n, kappa)
+    return iter(_k_connected(n, kappa)) if kappa < n else iter(())
 
 
 def _is_canonical_deletion(
@@ -373,16 +388,25 @@ def _stacked(n: int, k: int, cliques: bool) -> tuple[Graph, ...]:
     # vertices, which must form a clique when cliques is set (k-trees).  The
     # k-sets of vertices are the k-cliques of the complete graph.  For k = 1
     # the children are trees, deduplicated by tree code before labeling.
+    # Without cliques each grown graph is checked maximal k-degenerate, once,
+    # when its level is built; trees are maximal 1-degenerate.
     if n <= k + 1:
         return (Graph(n, itertools.combinations(range(n), 2)),)
     full = (1 << n - 1) - 1
-    return _grow(
+    grown = _grow(
         _stacked(n - 1, k, cliques),
         lambda g: _canonical_children(
             g, k, _cliques(g.bits if cliques else (full,) * g.n, k, full)
         ),
         (lambda h: _tree_code(h.bits)) if k == 1 else None,
     )
+    if not cliques:
+        for g in grown:
+            if degeneracy_check(g, k) != (True, True):
+                raise RuntimeError(
+                    "grown graph %s is not maximal %d-degenerate" % (write_graph6(g), k)
+                )
+    return grown
 
 
 def enumerate_k_trees(n: int, k: int) -> Iterator[Graph]:
@@ -391,19 +415,14 @@ def enumerate_k_trees(n: int, k: int) -> Iterator[Graph]:
     _check_range("k", k, 1, K_TREE_MAX_K)
     _check_range("order", n, k + 1, K_TREE_MAX_N)
     # Every vertex is a 1-clique, so trees share the maximal 1-degenerate chain.
-    yield from _stacked(n, k, k > 1)
+    return iter(_stacked(n, k, k > 1))
 
 
 def enumerate_maximal_k_degenerate(n: int, k: int) -> Iterator[Graph]:
     """Maximal k-degenerate graphs of order n, all of them connected."""
     _check_range("order", n, 2, MAX_K_DEGENERATE_MAX_N)
     _check_range("k", k, 1)
-    for g in _stacked(n, k, False):
-        if degeneracy_check(g, k) != (True, True):
-            raise RuntimeError(
-                "grown graph %s is not maximal %d-degenerate" % (write_graph6(g), k)
-            )
-        yield g
+    return iter(_stacked(n, k, False))
 
 
 def _tree_code(bits: tuple[int, ...]) -> str:
@@ -436,23 +455,25 @@ def _tree_code(bits: tuple[int, ...]) -> str:
 def _odd_trees(n: int) -> tuple[Graph, ...]:
     # A deepest internal vertex has an even number (at least two) of leaf
     # children, so removing two of them leaves an odd tree of order n - 2.
-    # Children are deduplicated by tree code, so each class is labeled once.
+    # Children are deduplicated by tree code, so each class is labeled once,
+    # and checked odd once, when its level is built.
     if n == 2:
         return (Graph(2, [(0, 1)]),)
-    return _grow(
+    grown = _grow(
         _odd_trees(n - 2),
         lambda g: (_attach(_attach(g, 1 << v), 1 << v) for v in range(g.n)),
         lambda h: _tree_code(h.bits),
     )
+    for g in grown:
+        if not is_odd_tree(g):
+            raise RuntimeError("grown tree %s is not an odd tree" % write_graph6(g))
+    return grown
 
 
 def enumerate_odd_trees(n: int) -> Iterator[Graph]:
     """Trees of even order n <= ODD_TREE_MAX_N in which every degree is odd."""
     _check_range("order", n, 4, ODD_TREE_MAX_N, step=2)
-    for g in _odd_trees(n):
-        if not is_odd_tree(g):
-            raise RuntimeError("grown tree %s is not an odd tree" % write_graph6(g))
-        yield g
+    return iter(_odd_trees(n))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +509,7 @@ def _apollonian(n: int) -> tuple[Graph, ...]:
 def enumerate_apollonian(n: int) -> Iterator[Graph]:
     """Planar 3-trees of order n, grown by face insertion."""
     _check_range("order", n, 3, APOLLONIAN_MAX_N)
-    yield from _apollonian(n)
+    return iter(_apollonian(n))
 
 
 def _flips(g: Graph) -> Iterator[Graph]:
@@ -526,7 +547,7 @@ def _triangulations(n: int) -> tuple[Graph, ...]:
 def enumerate_maximal_planar(n: int) -> Iterator[Graph]:
     """Maximal planar graphs (sphere triangulations) of order n."""
     _check_range("order", n, 4, MAXIMAL_PLANAR_MAX_N)
-    yield from _triangulations(n)
+    return iter(_triangulations(n))
 
 
 # ---------------------------------------------------------------------------
@@ -550,4 +571,4 @@ def parse_class_spec(spec: str) -> tuple[str, tuple[int, ...]]:
 def enumerate_class(name: str, args: tuple[int, ...]) -> Iterator[Graph]:
     if name not in CLASSES:
         raise ValueError("unknown class %r" % name)
-    yield from CLASSES[name].target(*args)
+    return CLASSES[name].target(*args)

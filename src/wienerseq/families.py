@@ -10,6 +10,19 @@ clique or spine vertices come first, in order.
 
 from __future__ import annotations
 
+__all__ = [
+    "complete",
+    "cycle",
+    "cycle_power",
+    "end_vertex_sequence_path_power",
+    "odd_caterpillar",
+    "parse_family_spec",
+    "path",
+    "path_complete",
+    "path_power",
+    "star",
+]
+
 from wienerseq.graphs import Graph, graph_power
 from wienerseq.sequences import DistanceSequence
 from wienerseq.specs import Entry, _check_range, parse_spec

@@ -30,6 +30,24 @@ name pairs row < col < n, each once, so the masks need no second check.
 
 from __future__ import annotations
 
+__all__ = [
+    "DisconnectedGraphError",
+    "DistanceMatrix",
+    "Graph",
+    "GraphFormatError",
+    "degeneracy_check",
+    "distance_matrix",
+    "graph_power",
+    "is_connected",
+    "is_cut_vertex",
+    "is_k_connected",
+    "is_odd_tree",
+    "parse_edge_list",
+    "parse_graph6",
+    "relabel",
+    "write_graph6",
+]
+
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator

@@ -12,6 +12,25 @@ value where there is one, and the float value is the double nearest it.
 
 from __future__ import annotations
 
+__all__ = [
+    "IndexDefinition",
+    "diameter_index",
+    "evaluate",
+    "evaluate_exact",
+    "gen_hyper_wiener",
+    "harary",
+    "hyper_wiener",
+    "log_mult_wiener",
+    "monotone_consistency",
+    "mult_wiener",
+    "order_size_lower_bound",
+    "order_size_lower_bound_exact",
+    "parse_index_spec",
+    "tsz",
+    "variable_wiener",
+    "wiener",
+]
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction

@@ -49,6 +49,18 @@ and comparisons never expand them.
 
 from __future__ import annotations
 
+__all__ = [
+    "DeletionBoundResult",
+    "DistanceSequence",
+    "Dominance",
+    "DominanceRelation",
+    "compare",
+    "deletion_bound_check",
+    "deletion_bounds",
+    "distance_sequence",
+    "vertex_distance_sequence",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from operator import add

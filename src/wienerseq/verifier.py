@@ -25,6 +25,18 @@ points at this package, not at the statement under test.
 
 from __future__ import annotations
 
+__all__ = [
+    "SUITES",
+    "VerificationReport",
+    "csv_summary",
+    "search_maximal_planar",
+    "verify_connectivity",
+    "verify_deletion_bound",
+    "verify_k_degenerate",
+    "verify_odd_trees",
+    "verify_order_size",
+]
+
 import json
 import os
 import time
@@ -203,20 +215,6 @@ def _judge(
     return violations, rel.tag == Dominance.EQUAL
 
 
-def _check_extremal(
-    g: Graph, bound: tuple, judged: dict
-) -> tuple[list[dict], bool]:
-    """Violations of g against the extremal graph family(*args), where
-    bound is (family, *args), and whether their distance sequences are
-    equal.  judged maps each (sequence, extremal) pair met so far to its
-    judgement, so each pair is judged once; the caller must not mutate the
-    violations it shares."""
-    key = (distance_sequence(g), _extremal(*bound))
-    if key not in judged:
-        judged[key] = _judge(*key)
-    return judged[key]
-
-
 def _check_k_degenerate(g: Graph, params: dict) -> list[dict]:
     n, k = params["n"], params["k"]
     violations: list[dict] = []
@@ -266,12 +264,17 @@ def _check(suite: str, params: dict, graphs: list[Graph]) -> VerificationReport:
     """The report of one shard of the suite over the given graphs."""
     entry = SUITES[suite]
     report = VerificationReport(suite, params, len(graphs))
+    # Each (sequence, extremal) pair met so far, with its judgement, so each
+    # pair is judged once; its violations are shared, so none is mutated.
     judged: dict = {}
     for g in graphs:
         vs: list[dict] = []
         is_equal = False
         if entry.extremal is not None:
-            vs, is_equal = _check_extremal(g, entry.extremal(g, params), judged)
+            key = (distance_sequence(g), _extremal(*entry.extremal(g, params)))
+            if key not in judged:
+                judged[key] = _judge(*key)
+            vs, is_equal = judged[key]
         if entry.check is not None:
             vs = vs + entry.check(g, params)
         if vs or is_equal:

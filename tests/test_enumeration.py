@@ -772,6 +772,27 @@ def test_order_range_of_every_class(name, rest, low, high, step):
     assert next(enumerate_class(name, (low, *rest))).n == low
 
 
+@pytest.mark.parametrize(
+    "enumerator,args",
+    [
+        (enumerate_connected, (9,)),
+        (enumerate_connected, (5, 11)),
+        (enumerate_k_connected, (8, 0)),
+        (enumerate_k_trees, (4, 4)),
+        (enumerate_maximal_k_degenerate, (8, 2)),
+        (enumerate_apollonian, (2,)),
+        (enumerate_odd_trees, (5,)),
+        (enumerate_maximal_planar, (10,)),
+        (enumerate_class, ("odd_tree", (16,))),
+        (enumerate_class, ("no_such_class", (5,))),
+    ],
+)
+def test_enumerators_check_their_arguments_when_called(enumerator, args):
+    # An out-of-range argument raises at the call, not at the first next().
+    with pytest.raises(ValueError):
+        enumerator(*args)
+
+
 def test_class_spec_dispatch():
     assert [write_graph6(g) for g in enumerate_class("connected", (5,))] == [
         write_graph6(g) for g in enumerate_connected(5)

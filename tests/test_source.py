@@ -69,16 +69,39 @@ def test_benchmark_self_tests_pass():
 
 
 def test_package_exports_match_imports():
-    # A name imported into the package but missing from __all__ (or listed
-    # there but never imported) is an export that drifted out of sync.
-    path = Path(wienerseq.__file__)
-    imported = {
-        alias.asname or alias.name
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert imported == set(wienerseq.__all__) - {"__version__"}
+    # Each module lists its public names once, in one literal __all__ of
+    # names it defines itself, and the package re-publishes exactly those:
+    # a name in two lists would be shadowed by the later star import.
+    listed = ["__version__"]
+    for path in sorted(Path(wienerseq.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        lists = [
+            node.value
+            for node in body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ]
+        if not lists:
+            continue
+        assert len(lists) == 1 and isinstance(lists[0], ast.List), path.name
+        names = ast.literal_eval(lists[0])
+        module = importlib.import_module("wienerseq." + path.stem)
+        assert names == module.__all__, path.name
+        defined = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        assert not set(names) - defined, (path.name, set(names) - defined)
+        for name in names:
+            assert getattr(wienerseq, name) is getattr(module, name), name
+        listed += names
+    assert len(listed) == len(set(listed)), "a name is listed by two modules"
+    assert sorted(wienerseq.__all__) == sorted(listed)
 
 
 def _names_read(tree: ast.AST) -> set[str]:
@@ -102,7 +125,8 @@ def _names_read(tree: ast.AST) -> set[str]:
 def test_no_unused_imports():
     # Every name a module imports is read there, so a tracer seam cannot be
     # kept alive by an import that nothing calls.  __init__.py imports to
-    # export, which test_package_exports_match_imports checks.
+    # re-publish the modules' __all__, which test_package_exports_match_imports
+    # checks.
     unused = []
     for path in sorted(Path(wienerseq.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
